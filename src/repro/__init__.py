@@ -26,67 +26,64 @@ registry" section of ``docs/ARCHITECTURE.md``.
 
 from __future__ import annotations
 
-from typing import Optional
+import importlib
+from typing import TYPE_CHECKING, Optional
 
-from .sim.config import (
-    ForwardClass,
-    HTMConfig,
-    SystemConfig,
-    SystemKind,
-    all_system_kinds,
-    table2_config,
-)
-from .sim.invariants import InvariantViolation, check_invariants, check_quiescent
-from .sim.results import SimulationResult
-from .sim.simulator import DeadlockError, Simulator, run_simulation
-from .sim.tracing import TraceEvent, Tracer
-from .systems import (
-    SystemSpec,
-    UnknownSystemError,
-    get_spec,
-    paper_systems,
-    register,
-    registered_systems,
-)
-from .workloads.base import Workload, make_workload, workload_names
-from .workloads.scripted import ScriptedWorkload
-
-# Register all built-in workloads on import.
-from .workloads import synth as _synth  # noqa: F401
-from .workloads.stamp import register_all as _register_stamp
-
-_register_stamp()
+if TYPE_CHECKING:
+    from .sim.config import HTMConfig, SystemConfig
+    from .sim.results import SimulationResult
+    from .systems import SystemSpec
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ForwardClass",
-    "HTMConfig",
-    "InvariantViolation",
-    "ScriptedWorkload",
-    "SimulationResult",
-    "Simulator",
-    "SystemConfig",
-    "SystemKind",
-    "SystemSpec",
-    "TraceEvent",
-    "Tracer",
-    "DeadlockError",
-    "Workload",
-    "all_system_kinds",
-    "UnknownSystemError",
-    "check_invariants",
-    "check_quiescent",
-    "get_spec",
-    "make_workload",
-    "paper_systems",
-    "register",
-    "registered_systems",
-    "run_simulation",
-    "run_workload",
-    "table2_config",
-    "workload_names",
-]
+#: Public name -> submodule that defines it.  Names resolve on first
+#: access (PEP 562), so ``import repro`` loads no simulator module until
+#: a caller touches one: a warm report never builds a machine.
+_EXPORTS = {
+    "ForwardClass": "sim.config",
+    "HTMConfig": "sim.config",
+    "SystemConfig": "sim.config",
+    "SystemKind": "sim.config",
+    "all_system_kinds": "sim.config",
+    "table2_config": "sim.config",
+    "InvariantViolation": "sim.invariants",
+    "check_invariants": "sim.invariants",
+    "check_quiescent": "sim.invariants",
+    "SimulationResult": "sim.results",
+    "DeadlockError": "sim.simulator",
+    "Simulator": "sim.simulator",
+    "run_simulation": "sim.simulator",
+    "TraceEvent": "sim.tracing",
+    "Tracer": "sim.tracing",
+    "SystemSpec": "systems",
+    "UnknownSystemError": "systems",
+    "get_spec": "systems",
+    "paper_systems": "systems",
+    "register": "systems",
+    "registered_systems": "systems",
+    "Workload": "workloads.base",
+    "make_workload": "workloads.base",
+    "workload_names": "workloads.base",
+    "ScriptedWorkload": "workloads.scripted",
+}
+
+__all__ = [*_EXPORTS, "run_workload"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
 
 
 def run_workload(
@@ -108,6 +105,9 @@ def run_workload(
     the workload's correctness invariants, and returns the
     :class:`SimulationResult`.
     """
+    from .sim.simulator import run_simulation
+    from .workloads.base import make_workload
+
     workload = make_workload(name, threads=threads, seed=seed, scale=scale)
     return run_simulation(
         workload, system, htm=htm, config=config, max_events=max_events

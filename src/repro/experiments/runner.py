@@ -50,8 +50,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -62,8 +60,6 @@ from ..obs import telemetry as fleet
 from ..sim.config import HTMConfig, table2_config
 from ..systems.spec import SystemSpec, get_spec
 from ..sim.results import SimulationResult
-from ..sim.simulator import run_simulation
-from ..workloads.base import make_workload
 
 #: Bump when the meaning of cached payloads changes (serialization layout,
 #: result semantics); old disk entries then miss and re-run.
@@ -142,7 +138,13 @@ class RunConfig:
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-stable representation (used for hashing)."""
-        htm = dataclasses.asdict(self.htm)
+        # A shallow copy suffices: every HTMConfig field but the two
+        # replaced below is a JSON scalar, and ``dataclasses.asdict``
+        # would deep-copy the whole SystemSpec only to discard it.
+        htm = {
+            f.name: getattr(self.htm, f.name)
+            for f in dataclasses.fields(self.htm)
+        }
         htm["system"] = self.htm.system.value
         if self.htm.forward_class is not None:
             htm["forward_class"] = self.htm.forward_class.value
@@ -159,16 +161,23 @@ class RunConfig:
 
     def key(self) -> str:
         """Content-addressed cache key covering every field plus the
-        schema version and the package source fingerprint."""
-        payload = json.dumps(
-            {
-                "schema": SCHEMA_VERSION,
-                "code": _code_fingerprint(),
-                **self.to_dict(),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        schema version and the package source fingerprint.
+
+        Memoized in the instance ``__dict__``, not in a field, so equality,
+        hashing, :meth:`to_dict` and ``dataclasses.replace`` never see it."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            payload = json.dumps(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "code": _code_fingerprint(),
+                    **self.to_dict(),
+                },
+                sort_keys=True,
+            )
+            key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_key", key)
+        return key
 
     def describe(self) -> str:
         text = (
@@ -461,6 +470,11 @@ def _disk_store(cfg: RunConfig, result: SimulationResult) -> None:
 # ----------------------------------------------------------------------
 def _execute(cfg: RunConfig) -> SimulationResult:
     """Run one simulation (also the worker-process entry point)."""
+    # Imported here, not at module level: a warm batch never simulates,
+    # so it should not pay for loading the machine model.
+    from ..sim.simulator import run_simulation
+    from ..workloads.base import make_workload
+
     wl = make_workload(
         cfg.workload, threads=cfg.threads, seed=cfg.seed, scale=cfg.scale
     )
@@ -784,6 +798,11 @@ def run_many(
             batch.finished(cfg, cfg.key(), resources, retried=retried_lane)
             _commit(cfg, cfg.key(), result)
             _notify(progress, done, total, cfg, "run")
+
+    if workers > 1 and len(misses) > 1:
+        # Only a batch that can fan out pays for the pool machinery.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
 
     try:
         if manifest.backend == "lanes" and len(misses) > 1:

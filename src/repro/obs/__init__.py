@@ -34,113 +34,82 @@ Same contract: zero cost while no session is installed.
 See ``docs/OBSERVABILITY.md`` for the workflow.
 """
 
-from .attribution import (
-    CAUSE_KINDS,
-    AttributedAbort,
-    AttributionReport,
-    Cascade,
-    attribute_aborts,
-)
-from .chains import Chain, ChainEdge, ChainInspector, link_chains
-from .events import (
-    EVENT_TYPES,
-    Abort,
-    Commit,
-    DirForward,
-    DirInvRound,
-    FallbackAcquire,
-    FallbackCommit,
-    MsgSent,
-    PicUpdate,
-    PowerElevate,
-    ProbeEvent,
-    SpecForward,
-    TxBegin,
-    ValidationMismatch,
-    ValidationOk,
-    ValidationStart,
-    VsbDrain,
-    VsbInsert,
-)
-from .interval import DEFAULT_WINDOW, IntervalMetrics, timeline_rows
-from .ledger import (
-    WASTED_WORK_BUCKETS,
-    FallbackSpan,
-    ForwardEdge,
-    TxAttempt,
-    TxLedger,
-    WastedWork,
-)
-from .probe import Probe
-from .telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    LiveDashboard,
-    MetricError,
-    MetricsRegistry,
-    Span,
-    TelemetrySession,
-    current_session,
-    install,
-    session_scope,
-    uninstall,
-)
-from .trace_export import ChromeTraceExporter, JsonlTraceWriter
-from .tracer import TraceEvent, Tracer
+import importlib
 
-__all__ = [
-    "Abort",
-    "AttributedAbort",
-    "AttributionReport",
-    "CAUSE_KINDS",
-    "Cascade",
-    "Chain",
-    "ChainEdge",
-    "ChainInspector",
-    "ChromeTraceExporter",
-    "Commit",
-    "Counter",
-    "DEFAULT_WINDOW",
-    "DirForward",
-    "DirInvRound",
-    "EVENT_TYPES",
-    "FallbackAcquire",
-    "FallbackCommit",
-    "FallbackSpan",
-    "ForwardEdge",
-    "Gauge",
-    "Histogram",
-    "IntervalMetrics",
-    "JsonlTraceWriter",
-    "LiveDashboard",
-    "MetricError",
-    "MetricsRegistry",
-    "MsgSent",
-    "PicUpdate",
-    "PowerElevate",
-    "Probe",
-    "ProbeEvent",
-    "Span",
-    "SpecForward",
-    "TelemetrySession",
-    "TraceEvent",
-    "Tracer",
-    "TxAttempt",
-    "TxBegin",
-    "TxLedger",
-    "ValidationMismatch",
-    "ValidationOk",
-    "ValidationStart",
-    "VsbDrain",
-    "VsbInsert",
-    "WASTED_WORK_BUCKETS",
-    "WastedWork",
-    "attribute_aborts",
-    "current_session",
-    "install",
-    "link_chains",
-    "session_scope",
-    "timeline_rows",
-    "uninstall",
-]
+#: Public name -> submodule that defines it, resolved on first access
+#: (PEP 562): the runner needs only :mod:`~repro.obs.telemetry`, so
+#: importing this package must not load the event, ledger and exporter
+#: modules a warm report never uses.
+_EXPORTS = {
+    "Abort": "events",
+    "AttributedAbort": "attribution",
+    "AttributionReport": "attribution",
+    "CAUSE_KINDS": "attribution",
+    "Cascade": "attribution",
+    "Chain": "chains",
+    "ChainEdge": "chains",
+    "ChainInspector": "chains",
+    "ChromeTraceExporter": "trace_export",
+    "Commit": "events",
+    "Counter": "telemetry",
+    "DEFAULT_WINDOW": "interval",
+    "DirForward": "events",
+    "DirInvRound": "events",
+    "EVENT_TYPES": "events",
+    "FallbackAcquire": "events",
+    "FallbackCommit": "events",
+    "FallbackSpan": "ledger",
+    "ForwardEdge": "ledger",
+    "Gauge": "telemetry",
+    "Histogram": "telemetry",
+    "IntervalMetrics": "interval",
+    "JsonlTraceWriter": "trace_export",
+    "LiveDashboard": "telemetry",
+    "MetricError": "telemetry",
+    "MetricsRegistry": "telemetry",
+    "MsgSent": "events",
+    "PicUpdate": "events",
+    "PowerElevate": "events",
+    "Probe": "probe",
+    "ProbeEvent": "events",
+    "Span": "telemetry",
+    "SpecForward": "events",
+    "TelemetrySession": "telemetry",
+    "TraceEvent": "tracer",
+    "Tracer": "tracer",
+    "TxAttempt": "ledger",
+    "TxBegin": "events",
+    "TxLedger": "ledger",
+    "ValidationMismatch": "events",
+    "ValidationOk": "events",
+    "ValidationStart": "events",
+    "VsbDrain": "events",
+    "VsbInsert": "events",
+    "WASTED_WORK_BUCKETS": "ledger",
+    "WastedWork": "ledger",
+    "attribute_aborts": "attribution",
+    "current_session": "telemetry",
+    "install": "telemetry",
+    "link_chains": "chains",
+    "session_scope": "telemetry",
+    "timeline_rows": "interval",
+    "uninstall": "telemetry",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -273,6 +274,10 @@ class ResultStore:
         Returns a :class:`Claim` on success and ``None`` when another
         *live* process holds it.  A stale claim (dead owner, or older
         than :data:`CLAIM_TTL_SECONDS`) is broken and re-acquired.
+
+        The claim file is published whole: the payload is written to a
+        private temp file that is then hard-linked into place, so a peer
+        never reads a claim file that exists but is still empty.
         """
         path = self._claim_path(key)
         payload = json.dumps(
@@ -281,7 +286,16 @@ class ResultStore:
         for _ in range(2):  # second pass after breaking a stale claim
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+                fd, tmp = tempfile.mkstemp(
+                    dir=path.parent, prefix=path.name, suffix=".tmp"
+                )
+            except OSError:
+                return Claim(key, path, os.getpid())  # unclaimable dir:
+                # degrade to "claimed" so the caller still executes
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(payload)
+                os.link(tmp, path)
             except FileExistsError:
                 holder = self._read_claim(path)
                 if holder is None or self._claim_stale(holder):
@@ -292,10 +306,13 @@ class ResultStore:
                     continue
                 return None
             except OSError:
-                return Claim(key, path, os.getpid())  # unclaimable dir:
-                # degrade to "claimed" so the caller still executes
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
+                return Claim(key, path, os.getpid())  # no hard links or
+                # a failed write: degrade as for an unclaimable dir
+            finally:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             return Claim(key, path, os.getpid())
         return None
 
@@ -304,30 +321,37 @@ class ResultStore:
         return (
             holder is not None
             and not self._claim_stale(holder)
-            and int(holder.get("pid", -1)) != os.getpid()
+            and holder.get("pid") != os.getpid()
         )
 
     @staticmethod
     def _read_claim(path: Path) -> Optional[Dict[str, object]]:
+        """The claim's holder record, or ``None`` when there is no claim.
+
+        A claim file that does not parse has no owner pid; its mtime
+        stands in for the claim time, so it is live until it is older
+        than :data:`CLAIM_TTL_SECONDS`."""
         try:
-            return json.loads(path.read_text("utf-8"))
+            holder = json.loads(path.read_text("utf-8"))
         except (OSError, ValueError):
-            try:
-                # Unreadable claim file: treat as stale if it exists.
-                return {"pid": -1, "unix": 0.0} if path.exists() else None
-            except OSError:
-                return None
+            holder = None
+        if isinstance(holder, dict):
+            return holder
+        try:
+            return {"pid": None, "unix": path.stat().st_mtime}
+        except OSError:
+            return None
 
     @staticmethod
     def _claim_stale(holder: Dict[str, object]) -> bool:
         try:
-            pid = int(holder.get("pid", -1))
+            pid = holder.get("pid")
             unix = float(holder.get("unix", 0.0))
+            if time.time() - unix > CLAIM_TTL_SECONDS:
+                return True
+            return pid is not None and not _pid_alive(int(pid))
         except (TypeError, ValueError):
             return True
-        if time.time() - unix > CLAIM_TTL_SECONDS:
-            return True
-        return not _pid_alive(pid)
 
     def wait_for(
         self,

@@ -78,18 +78,32 @@ def register(factory: WorkloadFactory) -> WorkloadFactory:
     return factory
 
 
+def _registry() -> Dict[str, WorkloadFactory]:
+    """The registry with the built-in workloads loaded.
+
+    Importing a workload module runs its ``@register`` decorators; doing
+    it on first read keeps ``import repro`` free of every workload.
+    """
+    from . import synth  # noqa: F401
+    from .stamp import register_all
+
+    register_all()
+    return _REGISTRY
+
+
 def make_workload(
     name: str, *, threads: int = 16, seed: int = 1, scale: float = 1.0
 ) -> Workload:
     """Instantiate a registered workload by name."""
+    registry = _registry()
     try:
-        factory = _REGISTRY[name]
+        factory = registry[name]
     except KeyError:
         raise KeyError(
-            f"unknown workload {name!r}; known: {sorted(_REGISTRY)}"
+            f"unknown workload {name!r}; known: {sorted(registry)}"
         ) from None
     return factory(threads=threads, seed=seed, scale=scale)
 
 
 def workload_names() -> List[str]:
-    return sorted(_REGISTRY)
+    return sorted(_registry())

@@ -4,6 +4,11 @@ the parallel ``run_many`` fan-out."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import pickle
+
 import pytest
 
 from repro import store as store_pkg
@@ -20,6 +25,7 @@ from repro.experiments.runner import (
 )
 from repro.sim.config import SystemKind, table2_config
 from repro.sim.results import SimulationResult
+from repro.systems import registered_systems
 
 FAST = dict(threads=2, scale=0.1)
 
@@ -69,6 +75,62 @@ class TestKeyCompleteness:
         assert a is b
         assert counters().simulations == 1
         assert counters().memory_hits == 1
+
+
+class TestKeyMemo:
+    """``RunConfig.key()`` is computed once per instance; the memo must
+    never leak into equality, hashing, copies or the serialized form."""
+
+    @staticmethod
+    def _fresh_key(cfg: RunConfig) -> str:
+        payload = json.dumps(
+            {
+                "schema": runner.SCHEMA_VERSION,
+                "code": runner._code_fingerprint(),
+                **cfg.to_dict(),
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def test_memoized_key_equals_fresh_computation(self):
+        cfg = RunConfig.make("counter", "chats", **FAST)
+        first = cfg.key()
+        assert first == self._fresh_key(cfg)
+        assert cfg.key() is first
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    def test_pickle_round_trip_keeps_key(self, memoized):
+        cfg = RunConfig.make("llb-l", "pchats", **FAST)
+        if memoized:
+            cfg.key()
+        clone = pickle.loads(pickle.dumps(cfg))
+        assert clone == cfg
+        assert clone.key() == cfg.key() == self._fresh_key(clone)
+
+    def test_replace_does_not_inherit_the_memo(self):
+        cfg = RunConfig.make("counter", "baseline", **FAST)
+        cfg.key()
+        other = dataclasses.replace(cfg, seed=cfg.seed + 1)
+        assert other.key() == self._fresh_key(other)
+        assert other.key() != cfg.key()
+
+    @pytest.mark.parametrize("system", registered_systems())
+    def test_to_dict_matches_the_asdict_reference(self, system):
+        cfg = RunConfig.make("counter", system, **FAST)
+        reference = dataclasses.asdict(cfg.htm)
+        reference["system"] = cfg.htm.system.value
+        if cfg.htm.forward_class is not None:
+            reference["forward_class"] = cfg.htm.forward_class.value
+        assert cfg.to_dict()["htm"] == reference
+
+    def test_equality_hash_and_dict_ignore_the_memo(self):
+        a = RunConfig.make("counter", "chats", **FAST)
+        b = RunConfig.make("counter", "chats", **FAST)
+        a.key()
+        assert a == b and hash(a) == hash(b)
+        assert a.to_dict() == b.to_dict()
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 class TestDiskCache:

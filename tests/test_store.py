@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import zlib
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from repro.store import (
     looks_like_legacy_cache,
     migrate_cache,
 )
-from repro.store.base import STORE_SCHEMA
+from repro.store.base import CLAIM_TTL_SECONDS, STORE_SCHEMA
 from repro.store.migrate import MigrationError
 from repro.store.sharded import _shard_of
 
@@ -387,6 +388,55 @@ class TestClaims:
                                     "unix": __import__("time").time()}))
         claim = store.claim(key)
         assert claim is not None and claim.pid == os.getpid()
+        claim.release()
+
+    @pytest.mark.parametrize("age, held", [(0.0, True), (7200.0, False)])
+    def test_unparsable_claim_is_live_until_ttl(self, tmp_path, age, held):
+        """A claim file that exists but does not parse (a writer caught
+        between creating and filling it) is live while younger than the
+        TTL, by mtime, and broken once older."""
+        assert (age < CLAIM_TTL_SECONDS) == held
+        store = ShardedStore(tmp_path)
+        key = "result/" + "ee" * 32
+        path = store._claim_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"")
+        stamp = time.time() - age
+        os.utime(path, (stamp, stamp))
+        claim = store.claim(key)
+        if held:
+            assert claim is None
+            assert path.read_bytes() == b""  # the live claim survives
+            assert store.claimed_by_other(key) is True
+            t0 = time.monotonic()
+            assert store.wait_for(key, timeout=0.1, poll=0.02) is None
+            assert time.monotonic() - t0 >= 0.1  # waited, not abandoned
+        else:
+            assert claim is not None and claim.pid == os.getpid()
+            assert json.loads(path.read_text())["pid"] == os.getpid()
+            claim.release()
+
+    def test_claim_file_is_published_whole(self, tmp_path, monkeypatch):
+        """The claim file only ever appears with its full payload: it is
+        written under a temp name and hard-linked into place."""
+        store = ShardedStore(tmp_path)
+        key = "result/" + "ff" * 32
+        linked = []
+        real_link = os.link
+
+        def link(src, dst, *args, **kwargs):
+            linked.append(json.loads(Path(src).read_text("utf-8")))
+            return real_link(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "link", link)
+        claim = store.claim(key)
+        assert claim is not None
+        assert linked == [json.loads(claim.path.read_text("utf-8"))]
+        assert linked[0]["pid"] == os.getpid()
+        # The temp file is gone: only the claim itself remains.
+        assert [p.name for p in claim.path.parent.iterdir()] == [
+            claim.path.name
+        ]
         claim.release()
 
     def test_wait_for_returns_stored_payload(self, tmp_path):

@@ -116,6 +116,14 @@ class TestOraclesCatchCorruption:
 
         self._run_and_corrupt("intruder", corrupt)
 
+    def test_intruder_oracle_counts_deposits_exactly(self):
+        def corrupt(wl, m):
+            # One deposit more than the per-thread packet counts allow.
+            tail = wl.result_queue.tail_addr
+            m.write_word(tail, m.read_word(tail) + 1)
+
+        self._run_and_corrupt("intruder", corrupt)
+
     def test_labyrinth_oracle(self):
         def corrupt(wl, m):
             # Claim a random cell for a route that never committed it.
@@ -151,3 +159,13 @@ class TestWorkloadScaling:
     def test_thread_count_respected(self):
         wl = make_workload("genome", threads=3, scale=0.2)
         assert len(wl.segments) == 3
+
+
+def test_intruder_oracle_holds_when_no_thread_completes_a_flow():
+    """``repro report --scale 0.1``'s intruder/naive-rs cell: with 35
+    packets over 16 threads, this schedule gives no thread a multiple of
+    ``fragments_per_flow`` packets, so zero deposits is the right count."""
+    result = repro.run_workload(
+        "intruder", "naive-rs", threads=16, seed=1, scale=0.1
+    )
+    assert result.total_commits > 0
