@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument(
         "--backend",
-        choices=("python", "compiled", "lanes", "auto"),
+        choices=("python", "compiled", "auto"),
         default=None,
         help="engine/message implementation under test "
         "(default: $REPRO_BACKEND or python)",

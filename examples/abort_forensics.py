@@ -5,7 +5,7 @@ Combines three introspection tools this library ships with:
 
 * per-transaction-site statistics (``Txn.label``): which transaction in
   the program commits/aborts how often under each system;
-* the :class:`~repro.sim.tracing.Tracer`: a structured event log of
+* the :class:`~repro.obs.tracer.Tracer`: a structured event log of
   forwards, commits, and aborts;
 * the invariant checker, scheduled mid-run as a sanity harness.
 

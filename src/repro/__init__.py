@@ -53,8 +53,8 @@ _EXPORTS = {
     "DeadlockError": "sim.simulator",
     "Simulator": "sim.simulator",
     "run_simulation": "sim.simulator",
-    "TraceEvent": "sim.tracing",
-    "Tracer": "sim.tracing",
+    "TraceEvent": "obs.tracer",
+    "Tracer": "obs.tracer",
     "SystemSpec": "systems",
     "UnknownSystemError": "systems",
     "get_spec": "systems",

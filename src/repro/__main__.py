@@ -72,17 +72,16 @@ per-``W``-cycle activity table from the run's interval metrics.
 ``run``, ``figure``, and ``report`` share the experiment runner's cache
 and parallelism flags: ``--workers N`` fans simulations out over N
 processes (default ``REPRO_WORKERS``), ``--cache-dir`` relocates the disk
-cache (default ``.repro_cache``, env ``REPRO_CACHE_DIR``), ``--no-cache``
-disables the disk cache for the invocation, and ``--store
-{legacy,sharded,auto}`` picks the result-store backend (env
-``REPRO_STORE``; see docs/ARCHITECTURE.md).
+cache (default ``.repro_cache``, env ``REPRO_CACHE_DIR``),
+and ``--no-cache`` disables the disk cache for the invocation.  The
+cache is a sharded result store; a pre-store flat-JSON cache is
+migrated into it on first touch (see docs/ARCHITECTURE.md).
 
 ``run``, ``report``, and ``bench`` take ``--backend
-{python,compiled,lanes,auto}`` to select the simulation backend (default
+{python,compiled,auto}`` to select the simulation backend (default
 ``$REPRO_BACKEND`` or pure Python); ``compiled`` uses the C hot core
-built by ``scripts/build_accel.py``, ``lanes`` batches seed-sibling
-sweeps, and every backend produces byte-identical results (see
-docs/PERFORMANCE.md).
+built by ``scripts/build_accel.py``, and both backends produce
+byte-identical results (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -92,11 +91,11 @@ import contextlib
 import os
 import sys
 
-from . import all_system_kinds, workload_names
-from . import store as store_pkg
+from . import accel, all_system_kinds, workload_names
 from .experiments import runner
 from .experiments.registry import EXPERIMENTS, experiment_configs
 from .experiments.figures import FIGURES, run_figure
+from .store import StoreInitError
 from .systems import UnknownSystemError, get_spec, registered_systems
 
 
@@ -138,8 +137,6 @@ def _apply_runner_flags(
 ) -> None:
     """Propagate the shared cache/parallelism flags to the runner."""
     _apply_backend_flag(args)
-    if getattr(args, "store", None) is not None:
-        store_pkg.select_store(args.store)
     if getattr(args, "scale", None) is not None:
         os.environ["REPRO_SCALE"] = str(args.scale)
     if getattr(args, "workers", None) is not None:
@@ -155,8 +152,6 @@ def _apply_backend_flag(args: argparse.Namespace) -> None:
     """Select the simulation backend for ``--backend`` (or leave the
     ``REPRO_BACKEND`` environment selection untouched without it)."""
     if getattr(args, "backend", None) is not None:
-        from . import accel
-
         accel.select_backend(args.backend)
 
 
@@ -718,24 +713,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="disk cache location (default: $REPRO_CACHE_DIR or "
         ".repro_cache)",
     )
-    cache_flags.add_argument(
-        "--store",
-        choices=store_pkg.STORES,
-        default=None,
-        help="result-store backend: the sharded segment store, the "
-        "legacy one-JSON-per-result layout, or auto (existing legacy "
-        "caches stay legacy, everything else sharded).  Overrides "
-        "$REPRO_STORE",
-    )
 
     backend_flags = argparse.ArgumentParser(add_help=False)
     backend_flags.add_argument(
         "--backend",
-        choices=("python", "compiled", "lanes", "auto"),
+        choices=accel.BACKENDS,
         default=None,
         help="simulation backend: pure Python (default), the compiled hot "
-        "core, numpy seed-lane batching, or auto (fastest available; "
-        "falls back to python with a warning).  Overrides $REPRO_BACKEND",
+        "core, or auto (compiled when built, else python with a "
+        "warning).  Overrides $REPRO_BACKEND",
     )
 
     telemetry_flags = argparse.ArgumentParser(add_help=False)
@@ -1093,7 +1079,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except StoreInitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

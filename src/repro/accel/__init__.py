@@ -1,6 +1,6 @@
 """Backend selection for the accelerated hot core.
 
-Three execution backends sit behind one interface:
+Two execution backends sit behind one interface:
 
 ``python``
     The pure-Python hot paths (``sim/engine.py``, ``net/messages.py``,
@@ -11,14 +11,6 @@ Three execution backends sit behind one interface:
     factory, delivery router, and crossbar send.  Built opt-in via
     ``pip install -e .[accel]`` or ``python scripts/build_accel.py``;
     falls back to ``python`` (with a single warning) when absent.
-``lanes``
-    The numpy-batched multi-seed lane executor for ``run_many``: runs
-    of the same configuration differing only in seed are grouped into
-    lanes and advanced through one worker task per lane, amortizing
-    per-run dispatch cost; lane resource statistics are folded with
-    numpy.  Inside each simulation the fastest available core is used
-    (compiled when built).  Falls back to ``python`` when numpy is
-    absent.
 
 Selection order: an explicit :func:`select_backend` call (the CLI's
 ``--backend``) wins, else the ``REPRO_BACKEND`` environment variable,
@@ -40,7 +32,7 @@ import warnings
 from typing import Iterator, Optional
 
 #: Names accepted by ``select_backend`` / ``--backend`` / REPRO_BACKEND.
-BACKENDS = ("python", "compiled", "lanes", "auto")
+BACKENDS = ("python", "compiled", "auto")
 
 _ENV_VAR = "REPRO_BACKEND"
 _selected: Optional[str] = None  # None -> read from the environment
@@ -81,26 +73,6 @@ def _load_compiled():
 def compiled_available() -> bool:
     """True when the ``_hotcore`` C extension is importable."""
     return _load_compiled() is not None
-
-
-def lanes_available() -> bool:
-    """True when numpy is importable (the lanes executor needs it)."""
-    try:
-        import numpy  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-def available_backends() -> tuple:
-    """The backends that would actually run if selected, best first."""
-    out = ["python"]
-    if compiled_available():
-        out.insert(0, "compiled")
-    if lanes_available():
-        out.append("lanes")
-    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -145,41 +117,21 @@ def _warn_fallback(requested: str, reason: str) -> None:
 
 
 def resolved_backend() -> str:
-    """The backend that actually executes: ``python``, ``compiled``, or
-    ``lanes``.  ``auto`` resolves silently to ``compiled`` when built
-    and to ``python`` (with one warning) when not; an unavailable
-    explicit choice also degrades to ``python`` with one warning."""
+    """The backend that actually executes: ``python`` or ``compiled``.
+    ``auto`` and ``compiled`` resolve to ``compiled`` when the extension
+    is built and degrade to ``python`` (with one warning) when not."""
     requested = current_backend()
     if requested == "python":
         return "python"
-    if requested == "auto":
-        if compiled_available():
-            return "compiled"
-        _warn_fallback("auto", "the _hotcore extension is not built")
-        return "python"
-    if requested == "compiled":
-        if compiled_available():
-            return "compiled"
-        _warn_fallback("compiled", "the _hotcore extension is not built")
-        return "python"
-    # requested == "lanes"
-    if lanes_available():
-        return "lanes"
-    _warn_fallback("lanes", "numpy is not installed")
+    if compiled_available():
+        return "compiled"
+    _warn_fallback(requested, "the _hotcore extension is not built")
     return "python"
 
 
 def compiled_active() -> bool:
-    """True when the in-simulator hot core should be the C extension.
-
-    The ``lanes`` backend accelerates the *runner*; inside each
-    simulation it still uses the fastest available core, so compiled
-    engines serve lanes too when built.
-    """
-    resolved = resolved_backend()
-    if resolved == "compiled":
-        return True
-    return resolved == "lanes" and compiled_available()
+    """True when the in-simulator hot core should be the C extension."""
+    return resolved_backend() == "compiled"
 
 
 @contextlib.contextmanager

@@ -8,9 +8,9 @@ cached at two levels:
   (:class:`RunConfig`), and
 * a persistent on-disk **result store** (:mod:`repro.store`) under
   ``.repro_cache/`` (override with ``REPRO_CACHE_DIR``), so a figure
-  sweep re-run in a new process costs zero simulations.  The backend is
-  selected by ``REPRO_STORE``/``--store``: the sharded segment store by
-  default, the legacy one-JSON-per-result layout for pre-store caches.
+  sweep re-run in a new process costs zero simulations.  The store is
+  the sharded segment store; a pre-store one-JSON-per-result cache is
+  migrated into it on first touch, so its entries keep hitting.
   Concurrent ``run_many`` processes sharing one cache directory
   deduplicate *across processes* through store claims: each miss is
   claimed before execution, and a key some live peer already claimed is
@@ -38,8 +38,8 @@ Environment knobs:
 * ``REPRO_WORKERS`` — worker processes for :func:`run_many` (default 1).
 * ``REPRO_CACHE_DIR`` — disk cache location (default ``.repro_cache``).
 * ``REPRO_NO_CACHE`` — set to ``1`` to disable the disk cache.
-* ``REPRO_STORE`` — result-store backend: ``sharded``, ``legacy``, or
-  ``auto`` (the default; see :mod:`repro.store`).
+* ``REPRO_BACKEND`` — simulation backend: ``python`` (the default),
+  ``compiled``, or ``auto`` (see :mod:`repro.accel`).
 """
 
 from __future__ import annotations
@@ -417,8 +417,7 @@ def cache_size() -> int:
 
 # ----------------------------------------------------------------------
 # Disk cache: everything persistent goes through the result store
-# (``repro.store``) — legacy flat-JSON or sharded segments, selected by
-# ``REPRO_STORE``/``--store`` with ``auto`` keeping old caches hitting.
+# (``repro.store``), one sharded store per cache directory.
 # ----------------------------------------------------------------------
 def result_key(key: str) -> str:
     """Store key for one simulation result (``result/<sha256>``)."""
@@ -774,9 +773,20 @@ def run_many(
             mine.append(cfg)
         misses = mine
 
-    def _commit(cfg, key, result):
-        """Completion site for every execution path: persist the result
-        and release the key's claim so cross-process waiters unblock."""
+    def _finish(cfg, outcome, retried):
+        """Completion site for every executed config: count and record
+        the run, persist the result, and release the key's claim so
+        cross-process waiters unblock."""
+        nonlocal done
+        result, seconds, digest, resources = outcome
+        key = cfg.key()
+        COUNTERS.simulations += 1
+        results[key] = result
+        done += 1
+        manifest.record(
+            cfg, "run", seconds, forensics=digest, resources=resources
+        )
+        batch.finished(cfg, key, resources, retried=retried)
         if use_cache:
             t0 = time.perf_counter()
             _store(cfg, key, result)
@@ -784,109 +794,33 @@ def run_many(
         claim = claims.pop(key, None)
         if claim is not None:
             claim.release()
+        _notify(progress, done, total, cfg, "run")
 
-    def _record_lane(lane, outcomes, retried_lane):
-        nonlocal done
-        for cfg, outcome in zip(lane, outcomes):
-            result, seconds, digest, resources = outcome
-            COUNTERS.simulations += 1
-            results[cfg.key()] = result
-            done += 1
-            manifest.record(
-                cfg, "run", seconds, forensics=digest, resources=resources
-            )
-            batch.finished(cfg, cfg.key(), resources, retried=retried_lane)
-            _commit(cfg, cfg.key(), result)
-            _notify(progress, done, total, cfg, "run")
-
-    if workers > 1 and len(misses) > 1:
-        # Only a batch that can fan out pays for the pool machinery.
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
+    def _run_here(cfg):
+        """Execute ``cfg`` in this process, retrying a failure once."""
+        key = cfg.key()
+        batch.submitted(cfg, key)
+        try:
+            outcome = exec_timed(cfg)
+        except Exception as exc:
+            batch.failed(cfg, key, exc)
+            _finish(cfg, _retry_serial(cfg, exc, exec_timed), True)
+        else:
+            _finish(cfg, outcome, False)
 
     try:
-        if manifest.backend == "lanes" and len(misses) > 1:
-            # Lane executor: seed-sibling configs share one task each,
-            # amortizing dispatch/pickling overhead across the lane.  A lane
-            # failure retries its members serially (retry-once per config).
-            # With one worker (or a single lane) the lanes run in-process —
-            # batching semantics and lane statistics stay identical either
-            # way, only the dispatch differs.
-            from ..accel import lanes as lanes_mod
-
-            lanes = lanes_mod.group_into_lanes(misses)
-            if workers <= 1 or len(lanes) <= 1:
-                for lane in lanes:
-                    for cfg in lane:
-                        batch.submitted(cfg, cfg.key())
-                    try:
-                        outcomes = lanes_mod.execute_lane(lane, forensics)
-                    except Exception as exc:
-                        outcomes = []
-                        for cfg in lane:
-                            batch.failed(cfg, cfg.key(), exc)
-                            outcomes.append(_retry_serial(cfg, exc, exec_timed))
-                        retried_lane = True
-                    else:
-                        retried_lane = False
-                    _record_lane(lane, outcomes, retried_lane)
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(lanes))
-                ) as pool:
-                    lane_futures = {}
-                    for lane in lanes:
-                        for cfg in lane:
-                            batch.submitted(cfg, cfg.key())
-                        lane_futures[
-                            pool.submit(lanes_mod.execute_lane, lane, forensics)
-                        ] = lane
-                    pending = set(lane_futures)
-                    while pending:
-                        finished, pending = wait(
-                            pending, return_when=FIRST_COMPLETED
-                        )
-                        for fut in finished:
-                            lane = lane_futures.pop(fut)
-                            try:
-                                outcomes = fut.result()
-                            except Exception as exc:
-                                # Includes a BrokenProcessPool: every
-                                # remaining lane future then fails the same
-                                # way and its members finish serially here.
-                                outcomes = []
-                                for cfg in lane:
-                                    batch.failed(cfg, cfg.key(), exc)
-                                    outcomes.append(
-                                        _retry_serial(cfg, exc, exec_timed)
-                                    )
-                                retried_lane = True
-                            else:
-                                retried_lane = False
-                            _record_lane(lane, outcomes, retried_lane)
-        elif workers <= 1 or len(misses) <= 1:
+        if workers <= 1 or len(misses) <= 1:
             for cfg in misses:
-                key = cfg.key()
-                batch.submitted(cfg, key)
-                retried_once = False
-                try:
-                    result, seconds, digest, resources = exec_timed(cfg)
-                except Exception as exc:
-                    batch.failed(cfg, key, exc)
-                    retried_once = True
-                    result, seconds, digest, resources = _retry_serial(
-                        cfg, exc, exec_timed
-                    )
-                COUNTERS.simulations += 1
-                results[key] = result
-                done += 1
-                manifest.record(
-                    cfg, "run", seconds, forensics=digest, resources=resources
-                )
-                batch.finished(cfg, key, resources, retried=retried_once)
-                _commit(cfg, key, result)
-                _notify(progress, done, total, cfg, "run")
-        elif misses:
+                _run_here(cfg)
+        else:
+            # Only a batch that can fan out pays for the pool machinery.
+            from concurrent.futures import (
+                FIRST_COMPLETED,
+                ProcessPoolExecutor,
+                wait,
+            )
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
                 with ProcessPoolExecutor(
                     max_workers=min(workers, len(misses))
@@ -904,7 +838,7 @@ def run_many(
                         for fut in finished:
                             cfg = futures.pop(fut)
                             try:
-                                result, seconds, digest, resources = fut.result()
+                                outcome = fut.result()
                             except BrokenProcessPool:
                                 raise  # pool is gone: fall back to serial below
                             except Exception as exc:
@@ -920,24 +854,7 @@ def run_many(
                                 futures[retry] = cfg
                                 pending.add(retry)
                                 continue
-                            COUNTERS.simulations += 1
-                            results[cfg.key()] = result
-                            done += 1
-                            manifest.record(
-                                cfg,
-                                "run",
-                                seconds,
-                                forensics=digest,
-                                resources=resources,
-                            )
-                            batch.finished(
-                                cfg,
-                                cfg.key(),
-                                resources,
-                                retried=cfg.key() in retried,
-                            )
-                            _commit(cfg, cfg.key(), result)
-                            _notify(progress, done, total, cfg, "run")
+                            _finish(cfg, outcome, cfg.key() in retried)
             except BrokenProcessPool as crash:
                 # A worker died hard (signal/OOM): finish the remainder
                 # serially, retrying each config at most once in total.
@@ -945,18 +862,7 @@ def run_many(
                     if cfg.key() in results:
                         continue
                     batch.failed(cfg, cfg.key(), crash)
-                    result, seconds, digest, resources = _retry_serial(
-                        cfg, crash, exec_timed
-                    )
-                    COUNTERS.simulations += 1
-                    results[cfg.key()] = result
-                    done += 1
-                    manifest.record(
-                        cfg, "run", seconds, forensics=digest, resources=resources
-                    )
-                    batch.finished(cfg, cfg.key(), resources, retried=True)
-                    _commit(cfg, cfg.key(), result)
-                    _notify(progress, done, total, cfg, "run")
+                    _finish(cfg, _retry_serial(cfg, crash, exec_timed), True)
 
         # Configs a live peer process claimed: wait for its entry instead
         # of recomputing (our own misses above overlapped the wait).  A
@@ -987,25 +893,7 @@ def run_many(
             claim = store.claim(result_key(key))
             if claim is not None:
                 claims[key] = claim
-            batch.submitted(cfg, key)
-            retried_once = False
-            try:
-                result, seconds, digest, resources = exec_timed(cfg)
-            except Exception as exc:
-                batch.failed(cfg, key, exc)
-                retried_once = True
-                result, seconds, digest, resources = _retry_serial(
-                    cfg, exc, exec_timed
-                )
-            COUNTERS.simulations += 1
-            results[key] = result
-            done += 1
-            manifest.record(
-                cfg, "run", seconds, forensics=digest, resources=resources
-            )
-            batch.finished(cfg, key, resources, retried=retried_once)
-            _commit(cfg, key, result)
-            _notify(progress, done, total, cfg, "run")
+            _run_here(cfg)
     finally:
         # A batch that raises (simulation failed twice) must not leave
         # its claims behind: peers would block on them until the claim

@@ -4,7 +4,7 @@ The runtime guarantees at most one *power* (elevated-priority) transaction
 system-wide.  A core requests the token after its conflict-abort threshold
 is reached; requests queue FIFO and the token is granted when released.
 Conflicts involving a power transaction are always resolved in its favour
-(see :class:`repro.core.policies.Power` / ``PCHATS``).
+(see :class:`repro.systems.priority.PowerPriority` / ``PCHATS``).
 """
 
 from __future__ import annotations

@@ -496,8 +496,8 @@ class RunBatch(NullBatch):
             "layer": layer,
         }
         if store is not None:
-            # Which store backend answered the disk layer (legacy |
-            # sharded) — attribution for probe-latency regressions.
+            # The kind of store that answered the disk layer —
+            # attribution for probe-latency regressions.
             attrs["store"] = store
         self._session.add(
             "cache-probe",

@@ -6,7 +6,7 @@ import itertools
 from typing import List, Optional
 
 from .. import accel
-from ..core.policies import make_policy
+from ..systems.compose import make_policy
 from ..htm.fallback import FallbackLock, OwnershipTable
 from ..htm.power import PowerTokenManager
 from ..htm.stats import HTMStats

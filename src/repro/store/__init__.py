@@ -1,39 +1,28 @@
-"""Pluggable result-store subsystem: selection mirroring ``repro.accel``.
+"""The result store: one :class:`~repro.store.sharded.ShardedStore` per
+cache directory.
 
-Two backends sit behind one :class:`~repro.store.base.ResultStore`
-interface:
+Key-prefix shards of append-only segment files hold zlib-compressed
+payloads behind a per-shard index, with advisory file locks,
+cross-process execution claims, ``compact``/``gc`` maintenance and an
+LRU-by-atime eviction policy.
 
-``legacy``
-    Today's one-JSON-file-per-entry layout
-    (:class:`~repro.store.legacy.LegacyJsonStore`) — kept readable and
-    writable so pre-store caches keep hitting unmigrated.
-``sharded``
-    The default (:class:`~repro.store.sharded.ShardedStore`):
-    key-prefix shards of append-only segment files holding
-    zlib-compressed payloads behind a per-shard index, with advisory
-    file locks, cross-process execution claims, ``compact``/``gc``
-    maintenance and an LRU-by-atime eviction policy.
+A directory still holding a pre-store flat-JSON cache (one
+``<sha>.json`` per result) is migrated on first touch: :func:`store_for`
+runs the verified :func:`~repro.store.migrate.migrate_cache` before
+opening the store, so old entries keep hitting and the directory ends
+up sharded.  The legacy layout is only ever read by that migration, and
+:mod:`repro.store.legacy` / :mod:`repro.store.migrate` are imported
+only when a legacy cache is found.
 
-Selection order follows the accel precedent exactly: an explicit
-:func:`select_store` call (the CLI's ``--store``) wins, else the
-``REPRO_STORE`` environment variable, else ``auto``.  ``auto`` resolves
-per cache directory: a directory already holding a legacy-layout cache
-(and no sharded store) stays ``legacy`` so existing entries keep
-resolving; anything else gets ``sharded``.  A sharded store that cannot
-initialise on its directory (foreign layout version, ``store`` path
-squatted by a file) degrades to ``legacy`` with a single
-:class:`RuntimeWarning` per process — same warn-once-fallback semantics
-as an unavailable accel backend.  Selection also writes ``REPRO_STORE``
-so ``ProcessPoolExecutor`` workers inherit the choice.
+A sharded store that cannot initialise on its directory (foreign layout
+version, ``store`` path squatted by a file, unwritable directory)
+raises :class:`StoreInitError` naming the directory and the cause.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import warnings
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict
 
 from .base import (  # noqa: F401  (re-exported API surface)
     CLAIM_TTL_SECONDS,
@@ -46,134 +35,67 @@ from .base import (  # noqa: F401  (re-exported API surface)
     StoreError,
     StoreInitError,
 )
-from .legacy import LegacyJsonStore, looks_like_legacy_cache
-from .migrate import migrate_cache  # noqa: F401
 from .sharded import ShardedStore
 
-#: Names accepted by ``select_store`` / ``--store`` / REPRO_STORE.
-STORES = ("legacy", "sharded", "auto")
-
-_ENV_VAR = "REPRO_STORE"
-_selected: Optional[str] = None  # None -> read from the environment
-_warned_fallback = False
-
-
-class UnknownStoreError(ValueError):
-    """Raised for a store name outside :data:`STORES`."""
-
-    def __init__(self, name: str):
-        super().__init__(
-            f"unknown store {name!r}; choose from {', '.join(STORES)}"
-        )
-
-
-def select_store(name: str) -> str:
-    """Select ``name`` for this process (and, via the environment, for
-    pool workers).  Returns the requested name."""
-    if name not in STORES:
-        raise UnknownStoreError(name)
-    global _selected
-    _selected = name
-    os.environ[_ENV_VAR] = name
-    return name
-
-
-def current_store() -> str:
-    """The *requested* store kind (may be ``auto``)."""
-    if _selected is not None:
-        return _selected
-    env = os.environ.get(_ENV_VAR, "").strip()
-    if env:
-        if env not in STORES:
-            raise UnknownStoreError(env)
-        return env
-    return "auto"
-
-
-def resolve_kind(root: Path) -> str:
-    """The concrete backend ``auto`` picks for ``root``: a directory
-    already holding a legacy cache (and no sharded store) stays legacy;
-    everything else is sharded."""
-    requested = current_store()
-    if requested != "auto":
-        return requested
-    if looks_like_legacy_cache(Path(root)):
-        return "legacy"
-    return "sharded"
-
-
-def _warn_sharded_fallback(reason: str) -> None:
-    global _warned_fallback
-    if _warned_fallback:
-        return
-    _warned_fallback = True
-    warnings.warn(
-        f"sharded result store unavailable ({reason}); "
-        "falling back to the legacy flat-JSON store",
-        RuntimeWarning,
-        stacklevel=3,
+def _has_flat_json(root: Path) -> bool:
+    """Pre-store entries in ``root``: flat ``*.json`` files or a
+    ``manifests/`` directory (the sharded layout has neither)."""
+    return (root / "manifests").is_dir() or any(
+        path.name != "META.json" for path in root.glob("*.json")
     )
 
 
-def open_store(root, kind: Optional[str] = None) -> ResultStore:
-    """Open the result store for cache directory ``root``.
-
-    ``kind`` overrides the selection (used by migrate, which needs both
-    backends on one directory at once).  A sharded store that cannot
-    initialise degrades to legacy with one warning per process.
-    """
+def looks_like_legacy_cache(root: Path) -> bool:
+    """True when ``root`` holds a pre-store flat-JSON cache and no
+    sharded store yet."""
     root = Path(root)
-    kind = kind if kind is not None else resolve_kind(root)
-    if kind == "legacy":
-        return LegacyJsonStore(root)
-    if kind != "sharded":
-        raise UnknownStoreError(kind)
-    try:
-        return ShardedStore(root)
-    except StoreInitError as exc:
-        _warn_sharded_fallback(str(exc))
-        return LegacyJsonStore(root)
+    return (
+        root.is_dir()
+        and not (root / "store" / "META.json").exists()
+        and _has_flat_json(root)
+    )
 
 
-@contextlib.contextmanager
-def use(name: str) -> Iterator[str]:
-    """Temporarily select ``name`` (tests); restores the prior state."""
-    global _selected
-    prior_selected = _selected
-    prior_env = os.environ.get(_ENV_VAR)
+def _migrate_on_first_touch(root: Path) -> None:
+    """Migrate a legacy cache under ``root`` before the store opens.
+
+    Every process that sees flat-JSON files takes the migration lock
+    and re-probes under it, so a peer that finds the migration in
+    progress (``store/META.json`` already written, entries still being
+    copied) waits for it instead of opening a half-filled store."""
+    if not _has_flat_json(root):
+        return
     try:
-        yield select_store(name)
+        lock = FileLock(root / "store" / "MIGRATE.lock").acquire()
+    except OSError as exc:
+        raise StoreInitError(
+            f"cannot migrate the legacy cache under {root}: {exc}"
+        ) from exc
+    try:
+        if looks_like_legacy_cache(root):
+            from .migrate import migrate_cache
+
+            migrate_cache(root)
     finally:
-        _selected = prior_selected
-        if prior_env is None:
-            os.environ.pop(_ENV_VAR, None)
-        else:
-            os.environ[_ENV_VAR] = prior_env
+        lock.release()
 
 
 # ----------------------------------------------------------------------
-# Per-directory instance cache (one store object per root+kind, so the
+# Per-directory instance cache (one store object per root, so the
 # runner, telemetry, forensics, and figures all share counters, index
 # caches, and pending-atime state within a process).
 # ----------------------------------------------------------------------
-_instances: Dict[Tuple[str, str], ResultStore] = {}
+_instances: Dict[str, ShardedStore] = {}
 
 
-def store_for(root) -> ResultStore:
-    """The shared store instance for ``root`` under the current
-    selection (resolution is re-checked per call, so flipping
-    ``REPRO_STORE`` or migrating a directory takes effect immediately)."""
+def store_for(root) -> ShardedStore:
+    """The shared store instance for cache directory ``root``, opened
+    (and, for a legacy cache, migrated) on first use in this process."""
     root = Path(root)
-    kind = resolve_kind(root)
-    cache_key = (str(root), kind)
-    store = _instances.get(cache_key)
+    store = _instances.get(str(root))
     if store is None:
-        store = open_store(root, kind)
-        # open_store may have degraded sharded -> legacy; cache under
-        # the *resolved* kind so the fallback is also shared.
-        _instances[(str(root), store.kind)] = store
-        if store.kind != kind:
-            _instances[cache_key] = store
+        _migrate_on_first_touch(root)
+        store = _instances[str(root)] = ShardedStore(root)
     return store
 
 

@@ -1,4 +1,5 @@
-"""The :class:`ResultStore` contract shared by both store backends.
+"""The :class:`ResultStore` contract behind the sharded store and the
+legacy layout that migration reads.
 
 A store is a flat keyed blob space under one cache directory.  Keys are
 namespaced paths (``result/<sha>``, ``manifest/<name>``,
@@ -7,8 +8,7 @@ by convention UTF-8 JSON documents, which is what the
 :meth:`ResultStore.get_json` / :meth:`ResultStore.put_json` helpers
 speak.
 
-Shared machinery lives here so both backends behave identically where
-behaviour is a correctness contract:
+Shared machinery lives here:
 
 * **Corrupt entries are misses, not crashes.**  :meth:`get_json` returns
   ``None`` for an entry whose payload does not parse, warns once per
@@ -19,7 +19,9 @@ behaviour is a correctness contract:
   execution claims (O_EXCL claim files carrying the owner pid), so N
   ``run_many`` processes sharing one cache dir never simulate the same
   key twice; losers :meth:`wait_for` the winner's entry.  Claims from
-  dead processes are detected and broken.
+  dead processes are detected and broken under the claims directory's
+  ``BREAK.lock``, so two processes that saw the same dead owner cannot
+  both break it.
 
 * **Metrics.**  Every hit/miss/eviction/corrupt observation increments
   both the store's local :class:`StoreCounters` and — when a fleet
@@ -36,7 +38,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 #: Schema tag of the ``stats()`` document (validated by
 #: ``scripts/check_store.py``).
@@ -52,8 +54,8 @@ class StoreError(Exception):
 
 
 class StoreInitError(StoreError):
-    """The backend cannot initialise on this cache directory (the
-    selection layer degrades to the legacy store with one warning)."""
+    """The store cannot initialise on this cache directory (foreign
+    layout, squatted ``store`` path, unwritable directory)."""
 
 
 class MigrationError(StoreError):
@@ -154,8 +156,7 @@ class ResultStore:
     """Abstract keyed blob store over one cache directory.
 
     Subclasses implement the raw byte plane (:meth:`get`, :meth:`put`,
-    :meth:`delete`, :meth:`keys`, :meth:`stats`, :meth:`verify`,
-    :meth:`compact`, :meth:`gc`); this base provides the JSON
+    :meth:`delete`, :meth:`keys`); this base provides the JSON
     convenience layer, corrupt-entry policy, claims, and metric
     fan-out.
     """
@@ -185,22 +186,6 @@ class ResultStore:
         raise NotImplementedError
 
     def keys(self, prefix: str = "") -> List[str]:
-        raise NotImplementedError
-
-    def stats(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    def verify(self) -> List[str]:
-        """Read back every entry; returns human-readable problems."""
-        raise NotImplementedError
-
-    def compact(self) -> Dict[str, object]:
-        """Reclaim dead space; returns a summary dict."""
-        raise NotImplementedError
-
-    def gc(self, max_bytes: int) -> List[str]:
-        """Evict least-recently-read entries until the store's payload
-        footprint fits ``max_bytes``; returns the evicted keys."""
         raise NotImplementedError
 
     def flush(self) -> None:
@@ -299,10 +284,7 @@ class ResultStore:
             except FileExistsError:
                 holder = self._read_claim(path)
                 if holder is None or self._claim_stale(holder):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
+                    self._break_stale(path)
                     continue
                 return None
             except OSError:
@@ -315,6 +297,21 @@ class ResultStore:
                     pass
             return Claim(key, path, os.getpid())
         return None
+
+    def _break_stale(self, path: Path) -> None:
+        """Remove the claim at ``path`` if it is (still) stale.
+
+        The holder is re-read under the claims directory's lock: a peer
+        that read the same dead owner earlier and broke the claim first
+        may already have published its own fresh claim, which must
+        survive.  A claim that is gone by then is left alone."""
+        with FileLock(path.parent / "BREAK.lock"):
+            holder = self._read_claim(path)
+            if holder is not None and self._claim_stale(holder):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
 
     def claimed_by_other(self, key: str) -> bool:
         holder = self._read_claim(self._claim_path(key))
@@ -382,7 +379,7 @@ class ResultStore:
 
 
 # ----------------------------------------------------------------------
-# Advisory file locking (used by the sharded backend's shard mutations).
+# Advisory file locking (shard mutations, claim breaks, migration).
 # ----------------------------------------------------------------------
 try:  # pragma: no cover - import probe
     import fcntl as _fcntl
@@ -488,8 +485,8 @@ def stats_document(
     namespaces: Dict[str, int],
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """The canonical ``repro-store/1`` stats document both backends
-    emit (and ``scripts/check_store.py`` validates)."""
+    """The canonical ``repro-store/1`` stats document (validated by
+    ``scripts/check_store.py``)."""
     doc: Dict[str, object] = {
         "schema": STORE_SCHEMA,
         "kind": store.kind,

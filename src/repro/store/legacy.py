@@ -1,8 +1,10 @@
-"""``LegacyJsonStore``: today's one-JSON-file-per-entry cache layout.
+"""``LegacyJsonStore``: the pre-store one-JSON-file-per-entry layout.
 
-The layout every PR since the first runner has written, kept readable
-and writable behind the :class:`~repro.store.base.ResultStore` API so
-existing caches keep hitting without migration:
+The layout the runner wrote before the sharded store existed.  It is
+only a migration source: :func:`~repro.store.migrate.migrate_cache`
+reads every entry through this class and deletes it once the sharded
+copy reads back identically.  ``put`` remains as the writer of legacy
+fixtures for the migration's tests.
 
 .. code-block:: text
 
@@ -13,28 +15,16 @@ existing caches keep hitting without migration:
       figures/<id>/<sha>.json        figure/<id>/<sha>
 
 Writes are atomic (temp + ``os.replace``); there is no index, no
-compression, and no locking — per-file rename atomicity is the whole
-concurrency story, which is exactly why million-entry sweeps want the
-sharded backend instead.  ``compact`` is a no-op; ``gc`` evicts whole
-files LRU by filesystem atime (falling back to mtime where atime is
-frozen by ``noatime`` mounts).
+compression, and no locking.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
-import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .base import (
-    ResultStore,
-    atomic_write_bytes,
-    namespace_histogram,
-    stats_document,
-)
+from .base import ResultStore, atomic_write_bytes
 
 #: Namespace -> subdirectory of the cache root (results live flat in
 #: the root itself, exactly like the pre-store layout).
@@ -56,7 +46,7 @@ def _split_key(key: str) -> Tuple[str, Tuple[str, ...]]:
 
 
 class LegacyJsonStore(ResultStore):
-    """The historical flat-file layout behind the store interface."""
+    """The pre-store flat-file layout, read (and emptied) by migration."""
 
     kind = "legacy"
 
@@ -131,105 +121,3 @@ class LegacyJsonStore(ResultStore):
             if key is not None and key.startswith(prefix):
                 out.append(key)
         return out
-
-    # -- maintenance -----------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        keys = []
-        physical = 0
-        for path in self._iter_paths():
-            key = self._key_for(path)
-            if key is None:
-                continue
-            keys.append(key)
-            try:
-                physical += path.stat().st_size
-            except OSError:
-                pass
-        return stats_document(
-            self,
-            entries=len(keys),
-            shards=0,
-            segments=len(keys),  # one file per entry
-            logical_bytes=physical,  # stored uncompressed
-            physical_bytes=physical,
-            namespaces=namespace_histogram(keys),
-        )
-
-    def verify(self) -> List[str]:
-        problems: List[str] = []
-        for path in self._iter_paths():
-            key = self._key_for(path)
-            if key is None:
-                continue
-            try:
-                json.loads(path.read_text("utf-8"))
-            except (OSError, ValueError, UnicodeDecodeError) as exc:
-                problems.append(f"{key}: unreadable ({exc})")
-        return problems
-
-    def compact(self) -> Dict[str, object]:
-        """No dead space in a file-per-entry layout — only stale
-        ``*.tmp`` litter from killed writers is swept."""
-        swept = 0
-        if self.root.is_dir():
-            for tmp in self.root.rglob("*.tmp"):
-                try:
-                    tmp.unlink()
-                    swept += 1
-                except OSError:
-                    pass
-        return {"reclaimed_bytes": 0, "tmp_files_swept": swept}
-
-    def gc(self, max_bytes: int) -> List[str]:
-        entries = []
-        total = 0
-        for path in self._iter_paths():
-            key = self._key_for(path)
-            if key is None:
-                continue
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            # noatime mounts freeze atime at creation; take the newer
-            # of atime/mtime so eviction order stays sane.
-            atime = max(st.st_atime, st.st_mtime)
-            entries.append((atime, st.st_size, key, path))
-            total += st.st_size
-        evicted: List[str] = []
-        for atime, size, key, path in sorted(entries):
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted.append(key)
-            self._note("evictions")
-        return evicted
-
-    # -- claims ----------------------------------------------------------
-    def _claims_dir(self) -> Path:
-        return self.root / ".claims"
-
-    # -- migration helper ------------------------------------------------
-    def compressed_size_estimate(self, key: str) -> int:
-        """zlib-compressed payload size (what the sharded backend would
-        store) — used by ``repro cache stats`` on legacy caches."""
-        raw = self.get(key)
-        return len(zlib.compress(raw)) if raw is not None else 0
-
-
-def looks_like_legacy_cache(root: Path) -> bool:
-    """True when ``root`` holds a pre-store flat-JSON cache (used by the
-    ``auto`` store resolution so old caches keep hitting unmigrated)."""
-    root = Path(root)
-    if not root.is_dir():
-        return False
-    if (root / "store" / "META.json").exists():
-        return False
-    for path in root.glob("*.json"):
-        if os.path.basename(path.name) != "META.json":
-            return True
-    return (root / "manifests").is_dir()

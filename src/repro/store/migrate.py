@@ -1,7 +1,8 @@
 """In-place migration of a legacy flat-JSON cache to the sharded layout.
 
-``repro cache migrate`` drives :func:`migrate_cache`: every legacy
-entry is copied into a :class:`~repro.store.sharded.ShardedStore` under
+:func:`repro.store.store_for` runs :func:`migrate_cache` the first time
+it touches a legacy cache; ``repro cache migrate`` runs it on demand.
+Every legacy entry is copied into a :class:`~repro.store.sharded.ShardedStore` under
 the *same* cache directory and immediately read back through the store
 API; only when the read-back is **bit-identical** to the legacy payload
 is the legacy file deleted (``keep_legacy=True`` leaves the originals
@@ -19,8 +20,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List
 
+from . import looks_like_legacy_cache
 from .base import MigrationError
-from .legacy import LegacyJsonStore, looks_like_legacy_cache
+from .legacy import LegacyJsonStore
 from .sharded import ShardedStore
 
 

@@ -1,4 +1,4 @@
-"""``ShardedStore``: the default compacting, concurrent-writer backend.
+"""``ShardedStore``: the compacting, concurrent-writer result store.
 
 Layout under the cache directory:
 
@@ -40,7 +40,6 @@ hot read path free of index rewrites.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import time
 import zlib
@@ -87,6 +86,7 @@ class ShardedStore(ResultStore):
         meta_path = self.base / "META.json"
         if self.base.exists() and not self.base.is_dir():
             raise StoreInitError(
+                f"cannot open the result store under {self.root}: "
                 f"{self.base} exists and is not a directory"
             )
         if meta_path.exists():
@@ -94,12 +94,15 @@ class ShardedStore(ResultStore):
                 meta = json.loads(meta_path.read_text("utf-8"))
             except (OSError, ValueError) as exc:
                 raise StoreInitError(
-                    f"unreadable store meta {meta_path}: {exc}"
+                    f"cannot open the result store under {self.root}: "
+                    f"unreadable {meta_path}: {exc}"
                 ) from exc
-            if meta.get("schema") != LAYOUT_SCHEMA:
+            schema = meta.get("schema") if isinstance(meta, dict) else meta
+            if schema != LAYOUT_SCHEMA:
                 raise StoreInitError(
-                    f"incompatible store layout {meta.get('schema')!r} "
-                    f"(this build speaks {LAYOUT_SCHEMA})"
+                    f"cannot open the result store under {self.root}: "
+                    f"incompatible layout {schema!r} in "
+                    f"{meta_path} (this build speaks {LAYOUT_SCHEMA})"
                 )
             self.shard_count = int(meta.get("shards", SHARD_COUNT))
         else:
@@ -120,8 +123,7 @@ class ShardedStore(ResultStore):
                 )
             except OSError as exc:
                 raise StoreInitError(
-                    f"cannot initialise sharded store under {self.root}: "
-                    f"{exc}"
+                    f"cannot open the result store under {self.root}: {exc}"
                 ) from exc
         # Per-shard in-process cache: (index dict, index stat signature).
         self._index_cache: Dict[str, Tuple[Dict, Tuple[int, int]]] = {}
@@ -465,7 +467,7 @@ class ShardedStore(ResultStore):
                                 pass
                 reclaimed += max(0, before - after)
         # Stale ``*.tmp`` litter from killed atomic writers (index/META
-        # commits) — same sweep the legacy backend runs.
+        # commits).
         swept = 0
         if self.base.is_dir():
             for tmp in self.base.rglob("*.tmp"):

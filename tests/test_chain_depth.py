@@ -6,7 +6,7 @@ import pytest
 from repro.sim.config import SystemConfig, SystemKind, table2_config
 from repro.sim.ops import Read, Txn, Work, Write
 from repro.sim.simulator import Simulator
-from repro.sim.tracing import Tracer
+from repro.obs.tracer import Tracer
 from repro.workloads.scripted import ScriptedWorkload
 
 BASE = 0x30_0000

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.forwarding import block_is_forwardable
 from repro.htm.txstate import TxState
 from repro.mem.address import Geometry
 from repro.mem.memory import MainMemory
 from repro.sim.config import ForwardClass, SystemKind, table2_config
+from repro.systems.forwardrules import block_is_forwardable
 
 BLOCK = 9
 

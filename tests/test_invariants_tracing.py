@@ -7,7 +7,7 @@ from repro.sim.config import SystemConfig, SystemKind, table2_config
 from repro.sim.invariants import InvariantViolation, check_invariants, check_quiescent
 from repro.sim.ops import Read, Txn, Work, Write
 from repro.sim.simulator import Simulator
-from repro.sim.tracing import TraceEvent, Tracer
+from repro.obs.tracer import TraceEvent, Tracer
 from repro.workloads.base import make_workload
 from repro.workloads.scripted import ScriptedWorkload
 from tests.conftest import ALL_SYSTEMS

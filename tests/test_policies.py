@@ -6,17 +6,15 @@ message directly and checks the decision matrix of Section VI-B.
 
 import pytest
 
-from repro.core.policies import (
-    BaselineRW,
-    Resolution,
-    make_policy,
-)
 from repro.htm.stats import AbortReason
 from repro.htm.txstate import TxState
 from repro.mem.address import Geometry
 from repro.mem.memory import MainMemory
 from repro.net.messages import Message, MessageKind
 from repro.sim.config import ForwardClass, SystemKind, table2_config
+from repro.systems.compose import make_policy
+from repro.systems.conflict import BaselineRW
+from repro.systems.outcome import Resolution
 
 BLOCK = 42
 

@@ -4,13 +4,14 @@ well-formed outcome respecting its system's defining constraints."""
 
 from hypothesis import given, strategies as st
 
-from repro.core.policies import Resolution, make_policy
 from repro.htm.stats import AbortReason
 from repro.htm.txstate import TxState
 from repro.mem.address import Geometry
 from repro.mem.memory import MainMemory
 from repro.net.messages import Message, MessageKind
 from repro.sim.config import SystemKind, table2_config
+from repro.systems.compose import make_policy
+from repro.systems.outcome import Resolution
 
 BLOCK = 5
 

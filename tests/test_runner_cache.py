@@ -166,26 +166,63 @@ class TestDiskCache:
         assert counters().simulations == 2
         assert counters().disk_hits == 0
 
-    @pytest.mark.parametrize("store_kind", ["legacy", "sharded"])
-    def test_corrupt_entry_is_a_miss(self, store_kind, recwarn):
-        """An unparsable store entry is a warn-once miss in *both*
-        backends — never an exception, never a stale result."""
-        with store_pkg.use(store_kind):
-            cfg = RunConfig.make("counter", SystemKind.BASELINE, **FAST)
-            run_cached("counter", SystemKind.BASELINE, **FAST)
-            store = runner.result_store()
-            assert store.kind == store_kind
-            # Overwrite the entry with bytes that are not JSON.
-            store.put(runner.result_key(cfg.key()), b"{not json")
-            clear_cache()
-            run_cached("counter", SystemKind.BASELINE, **FAST)
-            assert counters().simulations == 2
-            assert store.counters.corrupt == 1
-            assert any(
-                issubclass(w.category, RuntimeWarning)
-                and "cache miss" in str(w.message)
-                for w in recwarn.list
-            )
+    def test_corrupt_entry_is_a_miss(self, recwarn):
+        """An unparsable store entry is a warn-once miss — never an
+        exception, never a stale result."""
+        cfg = RunConfig.make("counter", SystemKind.BASELINE, **FAST)
+        run_cached("counter", SystemKind.BASELINE, **FAST)
+        store = runner.result_store()
+        # Overwrite the entry with bytes that are not JSON.
+        store.put(runner.result_key(cfg.key()), b"{not json")
+        clear_cache()
+        run_cached("counter", SystemKind.BASELINE, **FAST)
+        assert counters().simulations == 2
+        assert store.counters.corrupt == 1
+        assert any(
+            issubclass(w.category, RuntimeWarning)
+            and "cache miss" in str(w.message)
+            for w in recwarn.list
+        )
+
+    def test_legacy_cache_migrates_on_first_touch(self, tmp_path, monkeypatch):
+        """A pre-store flat-JSON cache is migrated once, when the store
+        first opens it, and then serves every key without simulating."""
+        from repro.store import looks_like_legacy_cache, migrate
+        from repro.store.legacy import LegacyJsonStore
+
+        sweep = SWEEP[:3]
+        seeded = tmp_path / "seed"
+        runner.configure(cache_dir=str(seeded))
+        expected = run_many(sweep, workers=1)
+        legacy_root = tmp_path / "legacy"
+        legacy = LegacyJsonStore(legacy_root)
+        source = runner.result_store()
+        for key in source.keys("result/"):
+            legacy.put(key, source.get(key))
+        assert looks_like_legacy_cache(legacy_root)
+
+        calls = []
+        real = migrate.migrate_cache
+        monkeypatch.setattr(
+            migrate, "migrate_cache", lambda root: calls.append(root) or real(root)
+        )
+        runner.configure(cache_dir=str(legacy_root))
+        store_pkg.drop_cached_instances()
+        clear_cache()
+        counters().reset()
+        results = run_many(sweep, workers=1)
+        assert counters().simulations == 0
+        assert counters().disk_hits == len(sweep)
+        assert results == expected
+        assert calls == [legacy_root]
+        assert list(legacy_root.glob("*.json")) == []
+        assert not looks_like_legacy_cache(legacy_root)
+        # A fresh open finds the sharded store and does not migrate again.
+        store_pkg.drop_cached_instances()
+        assert sorted(runner.result_store().keys("result/")) == sorted(
+            source.keys("result/")
+        )
+        assert calls == [legacy_root]
 
 
 SWEEP = [

@@ -36,6 +36,9 @@ SIMULATION_ONLY = (
     "concurrent.futures.process",
 )
 
+#: Modules that only a legacy-cache migration runs.
+MIGRATION_ONLY = ("repro.store.legacy", "repro.store.migrate")
+
 _POPULATE = textwrap.dedent(
     """
     from repro.experiments import figures
@@ -107,6 +110,14 @@ def test_warm_report_loads_no_simulation_module(warm_store):
     )
     assert out["simulations"] == 0, "the store was not warm"
     assert out["after_import"] == []
+    assert out["after_warm"] == []
+
+
+def test_warm_report_on_sharded_store_loads_no_migration_module(warm_store):
+    out = json.loads(
+        _python(_WARM, MIGRATION_ONLY, _env(warm_store)).splitlines()[-1]
+    )
+    assert out["simulations"] == 0, "the store was not warm"
     assert out["after_warm"] == []
 
 

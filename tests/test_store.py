@@ -1,7 +1,8 @@
-"""Tests for the pluggable result store (``repro.store``): backend
-round-trips, the legacy-layout mapping, selection/fallback semantics,
-corruption handling, compaction/eviction, the in-place migration, claims,
-and the N-process concurrent-writer guarantee."""
+"""Tests for the result store (``repro.store``): byte-plane round-trips
+of the sharded store and of the legacy layout migration reads, store
+opening and init failures, corruption handling, compaction/eviction, the
+in-place and first-touch migrations, claims, and the N-process
+concurrent-writer guarantee."""
 
 from __future__ import annotations
 
@@ -17,16 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro import store as store_pkg
-from repro.store import (
-    Claim,
-    LegacyJsonStore,
-    ShardedStore,
-    StoreInitError,
-    looks_like_legacy_cache,
-    migrate_cache,
-)
+from repro.store import ShardedStore, StoreInitError, looks_like_legacy_cache
 from repro.store.base import CLAIM_TTL_SECONDS, STORE_SCHEMA
-from repro.store.migrate import MigrationError
+from repro.store.legacy import LegacyJsonStore
+from repro.store.migrate import MigrationError, migrate_cache
 from repro.store.sharded import _shard_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -34,14 +29,19 @@ SRC = REPO_ROOT / "src"
 
 
 @pytest.fixture(autouse=True)
-def isolated_selection(monkeypatch):
-    """Neutral selection state and no shared instances between tests."""
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    monkeypatch.setattr(store_pkg, "_selected", None)
-    monkeypatch.setattr(store_pkg, "_warned_fallback", False)
+def isolated_instances():
+    """No shared store instances between tests."""
     store_pkg.drop_cached_instances()
     yield
     store_pkg.drop_cached_instances()
+
+
+@pytest.fixture(params=["legacy", "sharded"])
+def kind(request):
+    """Both layouts for the byte-plane tests (migration reads legacy
+    entries through the same API); a test that covers only the sharded
+    store overrides this with its own parametrization."""
+    return request.param
 
 
 def make_store(kind: str, root: Path):
@@ -49,7 +49,6 @@ def make_store(kind: str, root: Path):
 
 
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["legacy", "sharded"])
 class TestRoundTrip:
     def test_put_get_bytes(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
@@ -76,7 +75,7 @@ class TestRoundTrip:
         store.put("result/" + "cd" * 32, b"old")
         store.put("result/" + "cd" * 32, b"new")
         assert store.get("result/" + "cd" * 32) == b"new"
-        assert store.stats()["entries"] == 1
+        assert store.keys() == ["result/" + "cd" * 32]
 
     def test_json_round_trip(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
@@ -116,6 +115,7 @@ class TestRoundTrip:
             assert store.get_json("result/" + "22" * 32) is None
         assert store.counters.corrupt == 2
 
+    @pytest.mark.parametrize("kind", ["sharded"])
     def test_stats_document_shape(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
         store.put("result/" + "aa" * 32, b'{"pad": "%s"}' % (b"x" * 100))
@@ -128,14 +128,13 @@ class TestRoundTrip:
         assert doc["logical_bytes"] >= 101
         assert store.verify() == []
 
+    @pytest.mark.parametrize("kind", ["sharded"])
     def test_atomic_tmp_litter_ignored(self, kind, tmp_path):
         """A writer killed mid-commit leaves only ``*.tmp`` litter, which
         readers never parse and ``compact`` sweeps."""
         store = make_store(kind, tmp_path)
         store.put("result/" + "aa" * 32, b'{"good": true}')
-        # Litter where each backend actually writes its files.
-        litter_dir = tmp_path if kind == "legacy" else tmp_path / "store"
-        litter = litter_dir / "zz.json.tmp"
+        litter = tmp_path / "store" / "zz.json.tmp"
         litter.write_bytes(b"half-written")
         assert store.keys() == ["result/" + "aa" * 32]
         assert store.verify() == []
@@ -146,8 +145,8 @@ class TestRoundTrip:
 
 # ----------------------------------------------------------------------
 class TestLegacyLayout:
-    """The legacy backend must keep today's on-disk layout byte-for-byte
-    so pre-store caches stay hitting."""
+    """The legacy class must map keys onto the pre-store on-disk layout
+    byte-for-byte, or migration would miss entries of old caches."""
 
     def test_result_maps_to_top_level_json(self, tmp_path):
         store = LegacyJsonStore(tmp_path)
@@ -170,34 +169,26 @@ class TestLegacyLayout:
 
 # ----------------------------------------------------------------------
 class TestSelection:
-    def test_env_selection(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "legacy")
-        assert store_pkg.resolve_kind(tmp_path) == "legacy"
-        assert store_pkg.store_for(tmp_path).kind == "legacy"
+    """Opening the one store: shared instances, loud init failures."""
 
-    def test_explicit_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "legacy")
-        with store_pkg.use("sharded"):
-            assert store_pkg.store_for(tmp_path).kind == "sharded"
-        assert store_pkg.resolve_kind(tmp_path) == "legacy"
+    @pytest.mark.parametrize(
+        "meta", [{"schema": "someone-else/7"}, ["someone-else/7"]]
+    )
+    def test_foreign_store_meta_raises_init_error(self, tmp_path, meta):
+        ShardedStore(tmp_path)
+        meta_path = tmp_path / "store" / "META.json"
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(StoreInitError) as exc:
+            store_pkg.store_for(tmp_path)
+        assert str(tmp_path) in str(exc.value)
+        assert "someone-else/7" in str(exc.value)
+        # Nothing was written in a second layout beside the foreign one.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
 
-    def test_auto_prefers_sharded_on_fresh_dir(self, tmp_path):
-        assert store_pkg.resolve_kind(tmp_path / "fresh") == "sharded"
-
-    def test_auto_keeps_existing_legacy_cache(self, tmp_path):
-        LegacyJsonStore(tmp_path).put("result/" + "aa" * 32, b"{}")
-        assert store_pkg.resolve_kind(tmp_path) == "legacy"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(store_pkg.UnknownStoreError):
-            store_pkg.select_store("flat")
-
-    def test_sharded_init_failure_falls_back_with_warning(self, tmp_path):
+    def test_squatted_store_path_raises_init_error(self, tmp_path):
         (tmp_path / "store").write_text("squatted")  # not a directory
-        with store_pkg.use("sharded"):
-            with pytest.warns(RuntimeWarning, match="legacy"):
-                store = store_pkg.open_store(tmp_path)
-        assert store.kind == "legacy"
+        with pytest.raises(StoreInitError, match="not a directory"):
+            store_pkg.store_for(tmp_path)
 
     def test_store_for_shares_instances(self, tmp_path):
         a = store_pkg.store_for(tmp_path)
@@ -318,9 +309,8 @@ class TestMigrate:
         store = ShardedStore(tmp_path)
         for key, payload in payloads.items():
             assert store.get(key) == payload
-        # Legacy files removed; auto now resolves sharded.
+        # Legacy files removed: the directory is sharded now.
         assert not looks_like_legacy_cache(tmp_path)
-        assert store_pkg.resolve_kind(tmp_path) == "sharded"
 
     def test_keep_legacy_preserves_source_files(self, tmp_path):
         self._legacy_fixture(tmp_path)
@@ -389,6 +379,33 @@ class TestClaims:
         claim = store.claim(key)
         assert claim is not None and claim.pid == os.getpid()
         claim.release()
+
+    def test_late_stale_break_spares_a_fresh_claim(self, tmp_path, monkeypatch):
+        """Two claimants read the same dead owner's claim.  A breaks it
+        and publishes its own; B, resuming with the stale holder it read
+        earlier, must not unlink A's fresh claim."""
+        store_a = ShardedStore(tmp_path)
+        store_b = ShardedStore(tmp_path)
+        key = "result/" + "bc" * 32
+        path = store_a._claim_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"key": key, "pid": 2 ** 22 + 12345,
+                                    "unix": time.time()}))
+        stale = store_b._read_claim(path)  # B's read, before A acts
+        claim_a = store_a.claim(key)
+        assert claim_a is not None
+        fresh = path.stat().st_ino
+        # B's first read of the claim returns what it saw earlier.
+        reads = [stale]
+        real_read = ShardedStore._read_claim
+        monkeypatch.setattr(
+            store_b,
+            "_read_claim",
+            lambda p: reads.pop() if reads else real_read(p),
+        )
+        assert store_b.claim(key) is None
+        assert path.stat().st_ino == fresh  # A's claim survived
+        claim_a.release()
 
     @pytest.mark.parametrize("age, held", [(0.0, True), (7200.0, False)])
     def test_unparsable_claim_is_live_until_ttl(self, tmp_path, age, held):
@@ -493,6 +510,22 @@ _RUNNER_WORKER = textwrap.dedent(
 )
 
 
+_FIRST_TOUCH = textwrap.dedent(
+    """
+    import os
+    import sys
+    import time
+
+    from repro.store import store_for
+
+    root, go = sys.argv[1], sys.argv[2]
+    while not os.path.exists(go):
+        time.sleep(0.001)
+    print(len(store_for(root).keys()))
+    """
+)
+
+
 class TestConcurrentWriters:
     """N >= 4 real processes against one store directory (acceptance)."""
 
@@ -511,7 +544,6 @@ class TestConcurrentWriters:
         env = os.environ.copy()
         env["PYTHONPATH"] = str(SRC)
         env["REPRO_CACHE_DIR"] = str(cache_dir)
-        env["REPRO_STORE"] = "sharded"
         env.pop("REPRO_NO_CACHE", None)
         return env
 
@@ -532,6 +564,32 @@ class TestConcurrentWriters:
         for i in range(10):
             key = "result/ffff%02d" % i + "ab" * 29
             assert store.get_json(key) == {"shared": i}
+
+    def test_concurrent_first_touch_migrates_once(self, tmp_path):
+        """Two processes open the same legacy cache at once: one
+        migrates it, the other waits, and both see every entry."""
+        cache = tmp_path / "cache"
+        legacy = LegacyJsonStore(cache)
+        payloads = {
+            "result/%064x" % i: b'{"entry": %d}' % i for i in range(200)
+        }
+        for key, payload in payloads.items():
+            legacy.put(key, payload)
+        go = tmp_path / "go"
+        env = self._env(cache)
+        procs = [
+            self._spawn(_FIRST_TOUCH, [str(cache), str(go)], env)
+            for _ in range(2)
+        ]
+        go.touch()
+        for p in procs:
+            out, err = p.communicate(timeout=120)
+            assert p.returncode == 0, err
+            assert int(out.strip()) == len(payloads)
+        assert not looks_like_legacy_cache(cache)
+        assert list(cache.glob("*.json")) == []
+        store = ShardedStore(cache)
+        assert {key: store.get(key) for key in store.keys()} == payloads
 
     def test_concurrent_run_many_never_double_runs(self, tmp_path):
         """Four processes race the same 6-cell sweep; the claim protocol

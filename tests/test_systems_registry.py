@@ -8,14 +8,6 @@ import pytest
 
 import repro
 from repro.__main__ import main
-from repro.core.policies import (
-    ABORT,
-    BaselineRW,
-    PolicyOutcome,
-    RequesterSpeculates,
-    RequesterStalls,
-    make_policy,
-)
 from repro.sim.config import HTMConfig, SystemKind, all_system_kinds, table2_config
 from repro.systems import (
     SystemSpec,
@@ -25,6 +17,13 @@ from repro.systems import (
     register,
     registered_systems,
 )
+from repro.systems.compose import make_policy
+from repro.systems.conflict import (
+    BaselineRW,
+    RequesterSpeculates,
+    RequesterStalls,
+)
+from repro.systems.outcome import ABORT, PolicyOutcome
 from repro.systems.spec import ForwardClass
 
 
