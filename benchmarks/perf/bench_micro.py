@@ -54,7 +54,7 @@ def bench_engine_schedule_cancel(n):
 
     engine = accel.make_engine()
     for _ in range(n):
-        engine.schedule(100, lambda: None).cancel()
+        engine.cancel(engine.schedule(100, lambda: None))
 
 
 def bench_engine_zero_delay(n):

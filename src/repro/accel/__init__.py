@@ -175,9 +175,10 @@ def message_factory():
 
 
 def make_router(dst_handler_tables, fallback):
-    """A delivery callable: dst index -> kind index -> handler, then
-    release.  ``dst_handler_tables`` is the list of dense per-kind
-    handler lists (directory last); ``fallback`` is the Python route."""
+    """A delivery callable: dst index -> kind index -> handler (the
+    compiled router then releases the pooled message).
+    ``dst_handler_tables`` is the list of dense per-kind handler lists
+    (directory last); ``fallback`` is the Python route."""
     if compiled_active():
         return _load_compiled().Router(list(dst_handler_tables))
     return fallback

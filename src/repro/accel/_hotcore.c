@@ -15,17 +15,16 @@
  *                      path is pooled and bounded, so generational scans
  *                      are pure overhead); the previous GC state is
  *                      restored on exit, including on error.
- *   Message          — the pooled __slots__ coherence-message record of
- *                      repro/net/messages.py, with the same bounded
- *                      free-list recycling and retain/release ownership
- *                      contract.  Constructed through the make_message()
+ *   Message          — the coherence-message record of
+ *                      repro/net/messages.py, backed by a bounded free
+ *                      list (the Python record is unpooled): a delivered
+ *                      message is recycled unless a handler retain()-ed
+ *                      it.  Constructed through the make_message()
  *                      fastcall factory (no kwargs dict, no Python
  *                      __init__ frame).
- *   Router           — the delivery hot path: Simulator._route plus the
- *                      per-controller dense ``handle`` dispatch collapsed
- *                      into one C call (dst index -> kind index -> handler),
- *                      releasing the message afterwards exactly like the
- *                      Python router.
+ *   Router           — the delivery hot path: Simulator._route (dst
+ *                      index -> kind index -> handler) in one C call,
+ *                      which then releases the message to the free list.
  *   SendCore         — Crossbar.send: flit accounting, probe gating, and
  *                      the schedule of the delivery callback, all without
  *                      leaving C (the schedule inserts directly into the
@@ -53,7 +52,6 @@ typedef struct {
     PyObject *fn;                       /* NULL once fired or cancelled */
     PyObject *args[EVENT_INLINE_ARGS];  /* inline positional args */
     Py_ssize_t nargs;                   /* -1: args[0] is a tuple */
-    EngineObject *engine;               /* strong ref (cancel bookkeeping) */
 } EventObject;
 
 struct EngineObject {
@@ -107,7 +105,6 @@ Event_dealloc(EventObject *self)
 {
     PyObject_GC_UnTrack(self);
     event_clear_payload(self);
-    Py_CLEAR(self->engine);
     PyObject_GC_Del(self);
 }
 
@@ -123,7 +120,6 @@ Event_traverse(EventObject *self, visitproc visit, void *arg)
             Py_VISIT(self->args[i]);
         }
     }
-    Py_VISIT((PyObject *)self->engine);
     return 0;
 }
 
@@ -131,50 +127,8 @@ static int
 Event_clear_gc(EventObject *self)
 {
     event_clear_payload(self);
-    Py_CLEAR(self->engine);
     return 0;
 }
-
-static void engine_note_dead(EngineObject *engine);
-
-static PyObject *
-Event_cancel(EventObject *self, PyObject *Py_UNUSED(ignored))
-{
-    if (self->fn == NULL) {
-        Py_RETURN_NONE;
-    }
-    event_clear_payload(self);
-    if (self->engine != NULL) {
-        engine_note_dead(self->engine);
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Event_get_when(EventObject *self, void *Py_UNUSED(closure))
-{
-    return PyLong_FromLongLong(self->when);
-}
-
-static PyObject *
-Event_get_cancelled(EventObject *self, void *Py_UNUSED(closure))
-{
-    return PyBool_FromLong(self->fn == NULL);
-}
-
-static PyMethodDef Event_methods[] = {
-    {"cancel", (PyCFunction)Event_cancel, METH_NOARGS,
-     "Mark the event dead in place; a late cancel is a no-op."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyGetSetDef Event_getset[] = {
-    {"when", (getter)Event_get_when, NULL, "Absolute cycle.", NULL},
-    {"cancelled", (getter)Event_get_cancelled, NULL,
-     "True once the event can no longer fire (cancelled *or* fired).",
-     NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
 
 static PyTypeObject Event_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
@@ -182,11 +136,9 @@ static PyTypeObject Event_Type = {
     .tp_basicsize = sizeof(EventObject),
     .tp_dealloc = (destructor)Event_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "A scheduled event doubling as its own cancel handle.",
+    .tp_doc = "A scheduled event; the handle Engine.cancel takes.",
     .tp_traverse = (traverseproc)Event_traverse,
     .tp_clear = (inquiry)Event_clear_gc,
-    .tp_methods = Event_methods,
-    .tp_getset = Event_getset,
 };
 
 /* ------------------------------------------------------------------ */
@@ -384,7 +336,6 @@ engine_schedule_event(EngineObject *e, long long delay, PyObject *fn,
         ev->args[0] = tup;
         ev->nargs = -1;
     }
-    ev->engine = (EngineObject *)Py_NewRef((PyObject *)e);
     PyObject_GC_Track(ev);
 
     int rc;
@@ -626,6 +577,24 @@ Engine_pending(EngineObject *self, PyObject *Py_UNUSED(ignored))
     return PyLong_FromLongLong(self->live);
 }
 
+/* Mirror of Engine.cancel: mark the event dead in place; a no-op once it
+ * has fired or been cancelled. */
+static PyObject *
+Engine_cancel(EngineObject *self, PyObject *arg)
+{
+    if (!PyObject_TypeCheck(arg, &Event_Type)) {
+        PyErr_Format(PyExc_TypeError, "cancel() expects an event, not %.100s",
+                     Py_TYPE(arg)->tp_name);
+        return NULL;
+    }
+    EventObject *ev = (EventObject *)arg;
+    if (ev->fn != NULL) {
+        event_clear_payload(ev);
+        engine_note_dead(self);
+    }
+    Py_RETURN_NONE;
+}
+
 static PyObject *
 Engine_step(EngineObject *self, PyObject *Py_UNUSED(ignored))
 {
@@ -771,8 +740,8 @@ static PyMethodDef Engine_methods[] = {
     {"schedule", (PyCFunction)(void (*)(void))Engine_schedule,
      METH_FASTCALL,
      "schedule(delay, fn, *args) -> Event\n"
-     "Run fn(*args) after delay cycles; the event doubles as its cancel "
-     "handle."},
+     "Run fn(*args) after delay cycles; the event is the handle cancel() "
+     "takes."},
     {"schedule_at", (PyCFunction)(void (*)(void))Engine_schedule_at,
      METH_FASTCALL, "schedule_at(cycle, fn, *args) -> Event"},
     {"run", (PyCFunction)(void (*)(void))Engine_run,
@@ -783,6 +752,9 @@ static PyMethodDef Engine_methods[] = {
      "Process one event.  Returns False when the queue is empty."},
     {"pending", (PyCFunction)Engine_pending, METH_NOARGS,
      "Number of live (non-cancelled) queued events — O(1)."},
+    {"cancel", (PyCFunction)Engine_cancel, METH_O,
+     "cancel(event)\nMark a scheduled event dead; a no-op once it has "
+     "fired or been cancelled."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -826,7 +798,6 @@ typedef struct {
     PyObject *pic;        /* int | None */
     PyObject *timestamp;  /* int | None */
     PyObject *action;     /* str | None */
-    long long uid;
     char exclusive, power, can_consume, is_validation, non_transactional;
     char req_produced, req_consumed;
     char retained, pooled;
@@ -839,7 +810,6 @@ static PyTypeObject Message_Type;
 #define MSG_POOL_LIMIT 512
 static MessageObject *msg_pool[MSG_POOL_LIMIT];
 static Py_ssize_t msg_pool_len = 0;
-static long long msg_uid_counter = 0;
 
 /* Per-kind (idx, carries_data) cache keyed by the enum member pointer:
  * enum members are module-lifetime singletons, so a small linear scan
@@ -979,7 +949,6 @@ static PyMemberDef Message_members[] = {
     {"pic", T_OBJECT, offsetof(MessageObject, pic), 0, NULL},
     {"timestamp", T_OBJECT, offsetof(MessageObject, timestamp), 0, NULL},
     {"action", T_OBJECT, offsetof(MessageObject, action), 0, NULL},
-    {"uid", T_LONGLONG, offsetof(MessageObject, uid), 0, NULL},
     {"exclusive", T_BOOL, offsetof(MessageObject, exclusive), 0, NULL},
     {"power", T_BOOL, offsetof(MessageObject, power), 0, NULL},
     {"can_consume", T_BOOL, offsetof(MessageObject, can_consume), 0, NULL},
@@ -1161,7 +1130,6 @@ make_message(PyObject *Py_UNUSED(module), PyObject *const *args,
         goto fail;
     }
     Py_XSETREF(self->kind, Py_NewRef(values[P_KIND]));
-    self->uid = msg_uid_counter++;
     self->retained = 0;
     self->pooled = 0;
     return (PyObject *)self;
@@ -1257,11 +1225,8 @@ Router_call(RouterObject *self, PyObject *args, PyObject *kwds)
                      "message kind index %zd out of range", kind_idx);
         return NULL;
     }
+    /* Unsupported kinds hold a raiser, so every slot is callable. */
     PyObject *handler = PyList_GET_ITEM(table, kind_idx);
-    if (handler == Py_None) {
-        PyErr_Format(PyExc_RuntimeError, "no handler for %R", msg);
-        return NULL;
-    }
     PyObject *res = PyObject_CallOneArg(handler, msg);
     if (res == NULL) {
         return NULL;

@@ -27,7 +27,6 @@ from typing import Optional, TYPE_CHECKING
 from ..htm.stats import AbortReason
 from ..net.messages import Message, MessageKind
 from ..obs.events import ValidationMismatch, ValidationOk, ValidationStart, VsbDrain
-from ..sim.engine import CancelToken
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Core
@@ -38,7 +37,7 @@ class ValidationController:
 
     def __init__(self, core: "Core"):
         self._core = core
-        self._timer: Optional[CancelToken] = None
+        self._timer: Optional[list] = None
         self._inflight = False
 
     # ------------------------------------------------------------------
@@ -54,7 +53,7 @@ class ValidationController:
     def cancel(self) -> None:
         """Abort/commit of the attempt: stop the timer."""
         if self._timer is not None:
-            self._timer.cancel()
+            self._core.engine.cancel(self._timer)
             self._timer = None
         self._inflight = False
 

@@ -17,14 +17,14 @@ Hot-path notes: per-block state and invalidation rounds are ``__slots__``
 records, and the message entry point dispatches through a dense
 per-kind table (``kind.idx``) instead of an if/elif ladder.  Messages the
 directory stores past their delivery callback (queued requests,
-invalidation-round requests) are ``retain()``-ed so the interconnect's
-free list never recycles them under us.
+invalidation-round requests) are ``retain()``-ed so the compiled
+backend's message free list never recycles them under us.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, Optional, Set
 
 from .. import accel
 from ..net.messages import DIRECTORY, Message, MessageKind
@@ -101,8 +101,10 @@ class Directory:
         self.forwards = 0
         self.inv_rounds = 0
         self.memory_fetches = 0
-        # Dense dispatch table indexed by ``MessageKind.idx``.
-        handlers: List[Optional[object]] = [None] * len(MessageKind)
+        # Dense dispatch table indexed by ``MessageKind.idx``; the
+        # simulator's router calls it directly.  Kinds the directory
+        # never receives hold a raiser.
+        handlers = [self._unsupported] * len(MessageKind)
         handlers[MessageKind.GETS.idx] = self._handle_request
         handlers[MessageKind.GETX.idx] = self._handle_request
         handlers[MessageKind.UPGRADE.idx] = self._handle_request
@@ -138,10 +140,10 @@ class Directory:
     # Message entry point.
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        handler = self._handlers[msg.kind.idx]
-        if handler is None:  # pragma: no cover - protocol violation
-            raise RuntimeError(f"directory cannot handle {msg!r}")
-        handler(msg)
+        self._handlers[msg.kind.idx](msg)
+
+    def _unsupported(self, msg: Message) -> None:
+        raise RuntimeError(f"directory cannot handle {msg!r}")
 
     def _handle_cancel(self, msg: Message) -> None:
         self._finish(msg.block)

@@ -162,9 +162,11 @@ class L1Controller:
         self._Message = accel.message_factory()
         #: Set lazily by the simulator after cores are built.
         self.core: "Core" = None  # type: ignore[assignment]
-        # Dense dispatch table indexed by ``MessageKind.idx``.
-        handlers: List[Optional[Callable[[Message], None]]] = (
-            [None] * len(MessageKind)
+        # Dense dispatch table indexed by ``MessageKind.idx``; the
+        # simulator's router calls it directly.  Kinds an L1 never
+        # receives hold a raiser.
+        handlers: List[Callable[[Message], None]] = (
+            [self._unsupported] * len(MessageKind)
         )
         handlers[MessageKind.FWD_GETS.idx] = self._handle_forwarded_probe
         handlers[MessageKind.FWD_GETX.idx] = self._handle_forwarded_probe
@@ -233,9 +235,6 @@ class L1Controller:
         self._send(msg)
         return req_id
 
-    def _hit_latency_callback(self, fn: Callable, *args) -> None:
-        self._schedule(self._hit_latency, fn, *args)
-
     def _abort_capacity(self, tx: TxState, block: int) -> None:
         self.core.abort_tx(AbortReason.CAPACITY, block=block)
 
@@ -292,7 +291,7 @@ class L1Controller:
             return
         line = self.cache.lookup(block)
         if line is not None:
-            self._hit_latency_callback(callback, tx.store.read_word(addr))
+            self._schedule(self._hit_latency, callback, tx.store.read_word(addr))
             return
         out = _Outstanding(
             block=block,
@@ -322,7 +321,7 @@ class L1Controller:
             line.state = "M"
             if not line.speculative:
                 self.cache.mark_speculative(block)
-            self._hit_latency_callback(callback, 0)
+            self._schedule(self._hit_latency, callback, 0)
             return
         out = _Outstanding(
             block=block,
@@ -357,7 +356,9 @@ class L1Controller:
         block = self._block_of(addr)
         line = self.cache.lookup(block)
         if line is not None:
-            self._hit_latency_callback(callback, self._memory.read_word(addr))
+            self._schedule(
+                self._hit_latency, callback, self._memory.read_word(addr)
+            )
             return
         out = _Outstanding(
             block=block,
@@ -376,7 +377,7 @@ class L1Controller:
         if line is not None and line.state in ("E", "M") and not line.speculative:
             line.state = "M"
             self._memory.write_word(addr, value)
-            self._hit_latency_callback(callback, 0)
+            self._schedule(self._hit_latency, callback, 0)
             return
         out = _Outstanding(
             block=block,
@@ -399,7 +400,7 @@ class L1Controller:
             observed = self._memory.read_word(addr)
             if observed == expect:
                 self._memory.write_word(addr, new)
-            self._hit_latency_callback(callback, observed)
+            self._schedule(self._hit_latency, callback, observed)
             return
         out = _Outstanding(
             block=block,
@@ -417,10 +418,10 @@ class L1Controller:
     # Incoming message dispatch.
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        handler = self._handlers[msg.kind.idx]
-        if handler is None:  # pragma: no cover - protocol violation
-            raise RuntimeError(f"L1 cannot handle {msg!r}")
-        handler(msg)
+        self._handlers[msg.kind.idx](msg)
+
+    def _unsupported(self, msg: Message) -> None:
+        raise RuntimeError(f"L1 {self.core_id} cannot handle {msg!r}")
 
     # -- Holder side: probes -------------------------------------------
     def _handle_forwarded_probe(self, msg: Message) -> None:

@@ -7,19 +7,19 @@ control-only (1 flit), mirroring Table I.
 
 Hot-path design: a :class:`Message` is created for every hop of every
 coherence exchange, so it is a ``__slots__`` class (no per-instance
-``__dict__``) backed by a bounded free-list pool — the interconnect
-recycles delivered messages unless a handler retained one (directory
-queueing, invalidation rounds).  The per-kind hot attributes
-(``carries_data``, ``idx``) are precomputed once on the enum members, so
-the send path pays plain C-speed attribute loads instead of property
-calls and enum hashing.
+``__dict__``).  It is not pooled: constructing a fresh record costs half
+of what a free-list ``__new__`` plus a ``release()`` per delivery did,
+so a delivered message is simply dropped.  (The compiled backend's C
+message keeps its own free list behind the same ``retain``/``release``
+calls.)  The per-kind hot attributes (``carries_data``, ``idx``) are
+precomputed once on the enum members, so the send path pays plain
+C-speed attribute loads instead of property calls and enum hashing.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class MessageKind(Enum):
@@ -63,12 +63,6 @@ for _i, _kind in enumerate(MessageKind):
 #: Node id of the directory in message src/dst fields.
 DIRECTORY = -1
 
-_message_ids = itertools.count()
-
-#: Recycled message instances; bounded so a pathological burst cannot
-#: pin memory forever.
-_POOL_LIMIT = 512
-
 
 class Message:
     """One message on the interconnect.
@@ -100,18 +94,7 @@ class Message:
         "req_produced",
         "req_consumed",
         "action",
-        "uid",
-        "_retained",
-        "_pooled",
     )
-
-    _pool: List["Message"] = []
-
-    def __new__(cls, *args, **kwargs):
-        pool = cls._pool
-        if pool:
-            return pool.pop()
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -159,34 +142,18 @@ class Message:
         self.req_produced = req_produced
         self.req_consumed = req_consumed
         self.action = action
-        self.uid = next(_message_ids)
-        self._retained = False
-        self._pooled = False
 
     # ------------------------------------------------------------------
     def retain(self) -> "Message":
-        """Opt this message out of post-delivery recycling (a handler
-        stored it past the delivery callback)."""
-        self._retained = True
+        """Keep this message past its delivery callback.  Python messages
+        are never recycled, so this only returns ``self``; the call marks
+        the ownership point the compiled backend's pooled message needs."""
         return self
 
     def release(self) -> None:
-        """Return the message to the free list.
-
-        No-op for retained instances (their lifetime is managed by
-        whoever stored them) and idempotent for already-released ones.
-        References are cleared so a use-after-release fails loudly on
-        ``kind`` instead of silently reading stale fields.
-        """
-        if self._retained or self._pooled:
-            return
-        self._pooled = True
+        """Mark the message released: ``kind`` is cleared, so a
+        use-after-release fails loudly instead of reading stale fields."""
         self.kind = None  # type: ignore[assignment]
-        self.data = None
-        self.action = None
-        pool = Message._pool
-        if len(pool) < _POOL_LIMIT:
-            pool.append(self)
 
     @property
     def flits(self) -> int:

@@ -9,10 +9,10 @@ delivery time are broken by send order via the engine's FIFO tie-break.
 ``Engine.run``), so the per-message work is precomputed: flit counts are
 bound at construction, per-kind accounting indexes a dense list via
 ``kind.idx`` instead of hashing enum members, and the deliver callback is
-scheduled directly (no wrapper frame).  The *deliver callback* owns
-recycling: the simulator's router ``release()``s each message back to the
-:class:`~repro.net.messages.Message` free list after the handler returns,
-unless the handler retained it.
+scheduled directly (no wrapper frame).  The *deliver callback* is the
+simulator's router, which hands each message straight to the receiver's
+per-kind handler (and, under the compiled backend, returns the pooled C
+message to its free list unless the handler retained it).
 """
 
 from __future__ import annotations

@@ -6,11 +6,10 @@ deterministic for a given workload seed.
 
 Hot-path design (this module is the innermost loop of every experiment):
 
-* One allocation per event.  An :class:`Event` is a mutable record
-  ``[when, fn, args, engine]`` that is simultaneously the queue entry
-  and its own cancel handle — there is no separate ``CancelToken``
-  object.  It subclasses ``list`` (with empty ``__slots__``, so no
-  per-instance ``__dict__``).
+* One allocation per event.  An event is a plain list
+  ``[when, fn, args]`` (a list literal is the cheapest record CPython
+  builds); it is both the queue entry and the handle that
+  :meth:`Engine.cancel` takes.
 * Calendar-bucket queue.  Future events live in a per-cycle FIFO bucket
   (``dict`` keyed by absolute cycle); the heap orders only the *distinct*
   cycle numbers.  Typical workloads schedule many events per cycle, so
@@ -45,46 +44,6 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
 
-class Event(list):
-    """A scheduled event: ``[when, fn, args, engine]``.
-
-    The record is its own cancel handle: :meth:`cancel` marks it dead in
-    place (the engine discards it lazily or during compaction).  Firing
-    clears ``fn`` as well, so a late ``cancel()`` on an already-fired
-    event is a harmless no-op.
-    """
-
-    __slots__ = ()
-
-    @property
-    def when(self) -> int:
-        return self[0]
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the event can no longer fire (cancelled *or* fired)."""
-        return self[1] is None
-
-    def cancel(self) -> None:
-        if self[1] is None:
-            return
-        self[1] = None
-        self[2] = ()
-        engine = self[3]
-        engine._live -= 1
-        engine._dead += 1
-        if (
-            engine._dead >= engine.COMPACT_THRESHOLD
-            and engine._dead >= engine._live
-        ):
-            engine._compact()
-
-
-#: Backwards-compatible alias: ``schedule`` used to return a dedicated
-#: ``CancelToken``; the event record now plays that role itself.
-CancelToken = Event
-
-
 class Engine:
     """Minimal deterministic discrete-event engine."""
 
@@ -107,13 +66,13 @@ class Engine:
         # Future events: absolute cycle -> FIFO list of events, plus a heap
         # of the distinct cycle keys.  A key is pushed exactly once, when
         # its bucket is created, and popped when the clock reaches it.
-        self._buckets: Dict[int, List[Event]] = {}
+        self._buckets: Dict[int, List[list]] = {}
         self._cycles: List[int] = []
         # Events runnable at the current cycle, in FIFO order.
         self._lane: deque = deque()
         # Events for cycle ``_now + 1`` (the dominant delay), bypassing
         # the bucket dict and the cycle heap entirely.
-        self._next: List[Event] = []
+        self._next: List[list] = []
         self._now = 0
         self._live = 0
         self._dead = 0
@@ -124,17 +83,17 @@ class Engine:
         """Current simulated cycle."""
         return self._now
 
-    def schedule(self, delay: int, fn: Callable, *args: Any) -> Event:
-        """Run ``fn(*args)`` after ``delay`` cycles; returns the event,
-        which doubles as its cancel handle."""
+    def schedule(self, delay: int, fn: Callable, *args: Any) -> list:
+        """Run ``fn(*args)`` after ``delay`` cycles; returns the event
+        ``[when, fn, args]``, the handle :meth:`cancel` takes."""
         if delay == 1:
-            event = Event((self._now + 1, fn, args, self))
+            event = [self._now + 1, fn, args]
             self._next.append(event)
         elif delay:
             if delay < 0:
                 raise ValueError("cannot schedule into the past")
             when = self._now + delay
-            event = Event((when, fn, args, self))
+            event = [when, fn, args]
             bucket = self._buckets.get(when)
             if bucket is None:
                 self._buckets[when] = [event]
@@ -142,14 +101,27 @@ class Engine:
             else:
                 bucket.append(event)
         else:
-            event = Event((self._now, fn, args, self))
+            event = [self._now, fn, args]
             self._lane.append(event)
         self._live += 1
         return event
 
-    def schedule_at(self, cycle: int, fn: Callable, *args: Any) -> Event:
+    def schedule_at(self, cycle: int, fn: Callable, *args: Any) -> list:
         """Run ``fn(*args)`` at absolute ``cycle``."""
         return self.schedule(cycle - self._now, fn, *args)
+
+    def cancel(self, event: list) -> None:
+        """Mark ``event`` dead in place; the queue drops it lazily or
+        during compaction.  A no-op once the event has fired or been
+        cancelled (firing clears ``fn`` too)."""
+        if event[1] is None:
+            return
+        event[1] = None
+        event[2] = ()
+        self._live -= 1
+        self._dead += 1
+        if self._dead >= self.COMPACT_THRESHOLD and self._dead >= self._live:
+            self._compact()
 
     # ------------------------------------------------------------------
     def _advance(self, until: Optional[int]) -> bool:
@@ -184,7 +156,7 @@ class Engine:
             nxt.clear()
         return True
 
-    def _next_event(self) -> Optional[Event]:
+    def _next_event(self) -> Optional[list]:
         """Pop the next live event in deterministic order, or None."""
         lane = self._lane
         while True:

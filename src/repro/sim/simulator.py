@@ -95,20 +95,17 @@ class Simulator:
         for l1, core in zip(self.l1s, self.cores):
             l1.core = core
 
-        # Dense delivery table indexed by ``msg.dst``: cores at 0..N-1 and
-        # the directory (dst == DIRECTORY == -1) in the last slot via
+        # Per-kind handler tables indexed by ``msg.dst``: cores at 0..N-1
+        # and the directory (dst == DIRECTORY == -1) in the last slot via
         # Python's negative indexing.
-        self._dst_handlers = [l1.handle for l1 in self.l1s]
-        self._dst_handlers.append(self.directory.handle)
+        self._tables = [l1._handlers for l1 in self.l1s]
+        self._tables.append(self.directory._handlers)
         # Wire the delivery callback now that the handler tables exist:
-        # the compiled dense router (dst -> kind -> handler -> release,
-        # one C call) when the compiled backend is active, else _route.
+        # the compiled dense router (dst -> kind -> handler -> release of
+        # the pooled C message, one C call) when the compiled backend is
+        # active, else _route.
         self.network.finalize_deliver(
-            accel.make_router(
-                [l1._handlers for l1 in self.l1s]
-                + [self.directory._handlers],
-                self._route,
-            )
+            accel.make_router(self._tables, self._route)
         )
 
         self._timestamps = itertools.count(1)
@@ -119,9 +116,9 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def _route(self, msg: Message) -> None:
-        self._dst_handlers[msg.dst](msg)
-        # Recycle unless the handler retained the message past delivery.
-        msg.release()
+        # The only delivery hop: straight into the receiver's per-kind
+        # handler.  Python messages are unpooled, so nothing is released.
+        self._tables[msg.dst][msg.kind.idx](msg)
 
     def next_timestamp(self) -> int:
         """Ideal, never-rolling-over begin timestamps (Section VI-B) —

@@ -37,6 +37,11 @@ from .base import (  # noqa: F401  (re-exported API surface)
 )
 from .sharded import ShardedStore
 
+#: Present, under a cache directory, while a migration is unfinished;
+#: holds its mode (``move`` or ``keep-legacy``).
+MIGRATING = Path("store") / "MIGRATING"
+
+
 def _has_flat_json(root: Path) -> bool:
     """Pre-store entries in ``root``: flat ``*.json`` files or a
     ``manifests/`` directory (the sharded layout has neither)."""
@@ -62,7 +67,10 @@ def _migrate_on_first_touch(root: Path) -> None:
     Every process that sees flat-JSON files takes the migration lock
     and re-probes under it, so a peer that finds the migration in
     progress (``store/META.json`` already written, entries still being
-    copied) waits for it instead of opening a half-filled store."""
+    copied) waits for it instead of opening a half-filled store.  A
+    leftover ``store/MIGRATING`` marker means an earlier migration was
+    interrupted: it is resumed in the mode the marker names, so files
+    kept on purpose by ``cache migrate --keep-legacy`` stay kept."""
     if not _has_flat_json(root):
         return
     try:
@@ -72,7 +80,7 @@ def _migrate_on_first_touch(root: Path) -> None:
             f"cannot migrate the legacy cache under {root}: {exc}"
         ) from exc
     try:
-        if looks_like_legacy_cache(root):
+        if (root / MIGRATING).exists() or looks_like_legacy_cache(root):
             from .migrate import migrate_cache
 
             migrate_cache(root)

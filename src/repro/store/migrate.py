@@ -10,17 +10,22 @@ in place, e.g. for a dry run that older toolchains can still read).
 
 The migration is resumable and idempotent: entries already present in
 the sharded store with identical bytes are skipped, so a migration
-interrupted halfway just continues on the next invocation.  Keys are
-unchanged — the runner's content-addressed cache keys resolve
-identically through both stores before and after.
+interrupted halfway just continues on the next invocation.  A
+``store/MIGRATING`` marker, naming the mode, is written before the
+first copy and removed once every entry is through; while it exists,
+:func:`repro.store.store_for` resumes the migration in that mode on
+first touch (the directory already has ``store/META.json`` by then, so
+it no longer looks like a legacy cache).  Keys are unchanged — the
+runner's content-addressed cache keys resolve identically through both
+stores before and after.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from . import looks_like_legacy_cache
+from . import MIGRATING, looks_like_legacy_cache
 from .base import MigrationError
 from .legacy import LegacyJsonStore
 from .sharded import ShardedStore
@@ -29,10 +34,13 @@ from .sharded import ShardedStore
 def migrate_cache(
     root: Path,
     *,
-    keep_legacy: bool = False,
+    keep_legacy: Optional[bool] = None,
     progress=None,
 ) -> Dict[str, object]:
     """Convert the legacy cache under ``root`` to the sharded layout.
+
+    ``keep_legacy=None`` resumes an interrupted migration in the mode its
+    marker names, and moves the entries when there is no marker.
 
     Returns a summary dict (``migrated``/``skipped``/``verified`` counts
     plus the byte totals).  Raises :class:`MigrationError` on the first
@@ -41,6 +49,11 @@ def migrate_cache(
     """
     root = Path(root)
     was_legacy = looks_like_legacy_cache(root)
+    marker = root / MIGRATING
+    if keep_legacy is None:
+        keep_legacy = marker.exists() and marker.read_text() == "keep-legacy"
+    marker.parent.mkdir(parents=True, exist_ok=True)
+    marker.write_text("keep-legacy" if keep_legacy else "move")
     legacy = LegacyJsonStore(root)
     sharded = ShardedStore(root)
     migrated = 0
@@ -74,6 +87,7 @@ def migrate_cache(
             progress(i, len(keys), key)
     if not keep_legacy:
         _sweep_empty_legacy_dirs(root)
+    marker.unlink()
     return {
         "entries": len(keys),
         "migrated": migrated,

@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core.pic import HolderAction
-from ..htm.stats import AbortReason
-from .outcome import PolicyOutcome, Resolution
+from .outcome import ABORT_CYCLE, FORWARD_SPEC, PolicyOutcome, Resolution
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..htm.txstate import TxState
@@ -44,7 +43,7 @@ class OrderingScheme:
         self.htm = htm
 
     def forward_decision(self, holder: "TxState", msg: "Message") -> PolicyOutcome:
-        return PolicyOutcome(Resolution.FORWARD_SPEC, message_pic=None)
+        return FORWARD_SPEC
 
 
 class PicOrdering(OrderingScheme):
@@ -57,9 +56,7 @@ class PicOrdering(OrderingScheme):
     def forward_decision(self, holder: "TxState", msg: "Message") -> PolicyOutcome:
         decision = holder.pic.decide_as_holder(msg.pic)
         if decision.action is HolderAction.ABORT_LOCAL:
-            return PolicyOutcome(
-                Resolution.ABORT_LOCAL, abort_reason=AbortReason.CYCLE
-            )
+            return ABORT_CYCLE
         if decision.new_local_pic is not None:
             holder.pic.value = decision.new_local_pic
         return PolicyOutcome(
@@ -86,7 +83,5 @@ class TimestampOrdering(OrderingScheme):
             or holder.timestamp is None
             or msg.timestamp < holder.timestamp
         ):
-            return PolicyOutcome(
-                Resolution.ABORT_LOCAL, abort_reason=AbortReason.CYCLE
-            )
-        return PolicyOutcome(Resolution.FORWARD_SPEC, message_pic=None)
+            return ABORT_CYCLE
+        return FORWARD_SPEC

@@ -14,7 +14,8 @@ A policy names one of three resolutions for a conflict detected at the
 :class:`PolicyOutcome` is frozen (and slotted): the module-level ``ABORT``
 singleton is returned from every requester-wins path of every policy, so
 an accidental caller-side mutation would silently cross-contaminate later
-resolutions — freezing turns that hazard into an immediate error.
+resolutions — freezing turns that hazard into an immediate error.  The
+other fixed outcomes below are shared the same way.
 """
 
 from __future__ import annotations
@@ -44,5 +45,24 @@ class PolicyOutcome:
     from_power: bool = False
 
 
-#: The shared requester-wins outcome (safe to share: frozen).
+# The fixed outcomes, shared so a conflict never pays the frozen
+# dataclass ``__init__`` (safe to share: frozen).  Outcomes that carry a
+# PiC are built per call.
+#: Requester-wins.
 ABORT = PolicyOutcome(Resolution.ABORT_LOCAL)
+#: Requester-wins charged as a cycle-avoidance abort.
+ABORT_CYCLE = PolicyOutcome(
+    Resolution.ABORT_LOCAL, abort_reason=AbortReason.CYCLE
+)
+#: Requester-wins against a power requester.
+ABORT_POWER = PolicyOutcome(
+    Resolution.ABORT_LOCAL, abort_reason=AbortReason.POWER
+)
+#: Requester-stalls.
+NACK = PolicyOutcome(Resolution.NACK)
+#: Requester-speculates with a PiC-less ``SpecResp``.
+FORWARD_SPEC = PolicyOutcome(Resolution.FORWARD_SPEC, message_pic=None)
+#: A power holder's PiC-less ``SpecResp`` (PCHATS).
+FORWARD_POWER = PolicyOutcome(
+    Resolution.FORWARD_SPEC, message_pic=None, from_power=True
+)

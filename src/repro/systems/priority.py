@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..htm.stats import AbortReason
 from .base import ConflictPolicy
 from .forwardrules import block_is_forwardable
-from .outcome import ABORT, PolicyOutcome, Resolution
+from .outcome import ABORT, ABORT_POWER, FORWARD_POWER, NACK
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.config import HTMConfig
@@ -50,15 +49,11 @@ class PowerPriority(ConflictPolicy):
                     self.htm.forward_class, holder, msg.block, inflight_write
                 )
             ):
-                return PolicyOutcome(
-                    Resolution.FORWARD_SPEC, message_pic=None, from_power=True
-                )
-            return PolicyOutcome(Resolution.NACK)
+                return FORWARD_POWER
+            return NACK
         if msg.power:
             # Power requesters never consume; the holder yields.
-            return PolicyOutcome(
-                Resolution.ABORT_LOCAL, abort_reason=AbortReason.POWER
-            )
+            return ABORT_POWER
         return self.base.resolve(holder, msg, inflight_write)
 
     # Validation hooks delegate to the wrapped component (the power

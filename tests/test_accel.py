@@ -169,7 +169,7 @@ class TestCompiledEngineParity:
             fired = []
             keep = engine.schedule(5, lambda: fired.append("keep"))
             kill = engine.schedule(5, lambda: fired.append("kill"))
-            kill.cancel()
+            engine.cancel(kill)
             engine.run()
             assert fired == ["keep"]
             assert engine.events_processed == 1
@@ -200,12 +200,53 @@ class TestCompiledEngineParity:
         # Enough cancels to trip compaction (threshold 64) repeatedly.
         for engine in self.both_engines():
             for i in range(500):
-                engine.schedule(1000 + i, lambda: None).cancel()
+                engine.cancel(engine.schedule(1000 + i, lambda: None))
             survivor = []
             engine.schedule(2000, lambda: survivor.append(True))
             engine.run()
             assert survivor == [True]
             assert engine.events_processed == 1
+
+
+@pytest.mark.parametrize(
+    "backend", ["python", pytest.param("compiled", marks=needs_compiled)]
+)
+class TestEngineCancel:
+    """``Engine.cancel(event)`` is the one cancel API of both engines."""
+
+    def make(self, backend):
+        if backend == "compiled":
+            return accel._load_compiled().Engine()
+        from repro.sim.engine import Engine
+
+        return Engine()
+
+    def test_cancel_is_idempotent(self, backend):
+        engine = self.make(backend)
+        fired = []
+        event = engine.schedule(5, fired.append, "x")
+        engine.schedule(5, fired.append, "y")
+        engine.cancel(event)
+        engine.cancel(event)
+        assert engine.pending() == 1
+        engine.run()
+        assert fired == ["y"]
+        assert engine.pending() == 0
+        assert engine.events_processed == 1
+
+    def test_cancel_after_fire_is_noop(self, backend):
+        engine = self.make(backend)
+        fired = []
+        event = engine.schedule(1, fired.append, "x")
+        engine.run()
+        engine.cancel(event)
+        engine.cancel(event)
+        assert fired == ["x"]
+        assert engine.pending() == 0
+        engine.schedule(1, fired.append, "z")
+        assert engine.pending() == 1
+        engine.run()
+        assert fired == ["x", "z"]
 
 
 # ----------------------------------------------------------------------

@@ -65,25 +65,25 @@ class TestCancellation:
         engine = Engine()
         fired = []
         token = engine.schedule(5, fired.append, "x")
-        token.cancel()
+        engine.cancel(token)
         engine.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self):
         engine = Engine()
         token = engine.schedule(5, lambda: None)
-        token.cancel()
-        token.cancel()
+        engine.cancel(token)
+        engine.cancel(token)
         engine.run()
 
     def test_pending_counts_live_events_only(self):
         engine = Engine()
         tokens = [engine.schedule(5, lambda: None) for _ in range(3)]
         assert engine.pending() == 3
-        tokens[1].cancel()
+        engine.cancel(tokens[1])
         assert engine.pending() == 2
-        tokens[0].cancel()
-        tokens[2].cancel()
+        engine.cancel(tokens[0])
+        engine.cancel(tokens[2])
         assert engine.pending() == 0
 
 
@@ -138,7 +138,7 @@ class TestRunBounds:
         fired = []
         token = engine.schedule(5, fired.append, "cancelled")
         engine.schedule(50, fired.append, "late")
-        token.cancel()
+        engine.cancel(token)
         engine.run(until=10)
         assert fired == []
         assert engine.pending() == 1
@@ -266,7 +266,7 @@ class TestCancellationLeak:
             # validation-controller pattern that used to accumulate dead
             # entries until the far-future cycle drained.
             token = engine.schedule(10_000, lambda: None)
-            token.cancel()
+            engine.cancel(token)
             if n:
                 engine.schedule(1, arm_and_cancel, n - 1)
 
@@ -285,7 +285,7 @@ class TestCancellationLeak:
     def test_cancel_in_next_lane_is_reclaimed(self):
         engine = Engine()
         for _ in range(1_000):
-            engine.schedule(1, lambda: None).cancel()
+            engine.cancel(engine.schedule(1, lambda: None))
         assert engine.pending() == 0
         assert len(engine._next) <= 2 * Engine.COMPACT_THRESHOLD
 
@@ -294,8 +294,8 @@ class TestCancellationLeak:
         token = engine.schedule(1, lambda: None)
         engine.run()
         live = engine.pending()
-        token.cancel()  # already fired: must not corrupt the counters
-        token.cancel()
+        engine.cancel(token)  # already fired: must not corrupt the counters
+        engine.cancel(token)
         assert engine.pending() == live == 0
         engine.schedule(1, lambda: None)
         assert engine.pending() == 1

@@ -22,11 +22,6 @@ class TestMessageKinds:
         assert data.flits == 5
         assert ctrl.flits == 1
 
-    def test_unique_uids(self):
-        a = Message(kind=MessageKind.GETS, src=0, dst=1, block=1)
-        b = Message(kind=MessageKind.GETS, src=0, dst=1, block=1)
-        assert a.uid != b.uid
-
 
 class TestCrossbar:
     def _net(self):

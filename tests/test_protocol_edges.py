@@ -87,6 +87,27 @@ class TestL1ProtocolErrors:
                 Message(kind=MessageKind.GETS, src=1, dst=0, block=1)
             )
 
+    def test_route_rejects_unsupported_kinds(self):
+        """``Simulator._route`` indexes the handler tables directly; the
+        slots of kinds a node never receives raise, naming the node."""
+        from repro.sim.simulator import Simulator
+        from repro.workloads.scripted import ScriptedWorkload
+
+        def t():
+            yield Work(1)
+
+        sim = Simulator(
+            ScriptedWorkload([t]), config=SystemConfig(num_cores=2)
+        )
+        with pytest.raises(RuntimeError, match=r"^L1 1 cannot handle <GETS"):
+            sim._route(Message(kind=MessageKind.GETS, src=0, dst=1, block=1))
+        with pytest.raises(
+            RuntimeError, match=r"^directory cannot handle <Data"
+        ):
+            sim._route(
+                Message(kind=MessageKind.DATA, src=0, dst=DIRECTORY, block=1)
+            )
+
 
 class TestSimulatorGuards:
     def test_workload_bigger_than_machine(self):

@@ -5,6 +5,7 @@ the parallel ``run_many`` fan-out."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import pickle
@@ -241,6 +242,20 @@ class TestRunMany:
         assert [r.to_dict() for r in serial] == [
             r.to_dict() for r in parallel
         ]
+
+    def test_finished_machine_is_freed(self):
+        """A finished machine is cyclic garbage; run_many frees it at
+        once instead of leaving it to the next automatic full collection
+        (automatic collection is off here, so only the runner's counts)."""
+        from repro.sim.simulator import Simulator
+
+        gc.disable()
+        try:
+            run_many(SWEEP[:1], workers=1, use_cache=False)
+            alive = [o for o in gc.get_objects() if isinstance(o, Simulator)]
+        finally:
+            gc.enable()
+        assert alive == []
 
     def test_deduplicates_before_dispatch(self):
         cfg = SWEEP[0]

@@ -342,6 +342,45 @@ class TestMigrate:
         finally:
             path.chmod(0o644)
 
+    def test_first_touch_resumes_interrupted_migration(self, tmp_path):
+        payloads = self._legacy_fixture(tmp_path)
+
+        class Killed(Exception):
+            pass
+
+        def stop_after_first(done, total, key):
+            raise Killed
+
+        with pytest.raises(Killed):
+            migrate_cache(tmp_path, progress=stop_after_first)
+        # One entry moved, three still flat, and META.json already exists.
+        assert not looks_like_legacy_cache(tmp_path)
+        assert len(LegacyJsonStore(tmp_path).keys()) == 3
+        store = store_pkg.store_for(tmp_path)
+        assert {key: store.get(key) for key in payloads} == payloads
+        assert LegacyJsonStore(tmp_path).keys() == []
+        assert list(tmp_path.glob("*.json")) == []
+        assert not (tmp_path / store_pkg.MIGRATING).exists()
+
+    def test_kept_legacy_files_are_not_migrated_again(
+        self, tmp_path, monkeypatch
+    ):
+        payloads = self._legacy_fixture(tmp_path)
+        migrate_cache(tmp_path, keep_legacy=True)
+        kept = sorted(p.name for p in tmp_path.glob("*.json"))
+        assert kept
+        assert not (tmp_path / store_pkg.MIGRATING).exists()
+
+        def must_not_migrate(*args, **kwargs):
+            raise AssertionError("migrate_cache called again")
+
+        monkeypatch.setattr(
+            "repro.store.migrate.migrate_cache", must_not_migrate
+        )
+        store = store_pkg.store_for(tmp_path)
+        assert {key: store.get(key) for key in payloads} == payloads
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == kept
+
 
 # ----------------------------------------------------------------------
 class TestClaims:
